@@ -27,7 +27,8 @@
 //
 // Every row is a seeded virtual-time simulation: byte-identical output
 // across --jobs values (the CI determinism diff), host-independent
-// numbers. --smoke trims the population sweep for CI.
+// numbers. --smoke trims the population sweep for CI; --jobs N (or
+// --jobs=N) sets the number of host threads.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -149,7 +150,7 @@ Row RunShardedTatp(const RowSpec& spec) {
   // Per-shard attribution (satellite: no single aggregate hiding a hot
   // shard) — submitted/retries/gave_up per home shard.
   for (int i = 0; i < spec.shards; ++i) {
-    const workload::ShardStats& s =
+    const workload::DriverReport& s =
         report.per_shard[static_cast<size_t>(i)];
     const std::string p = "shard" + std::to_string(i) + "_";
     row.fields.emplace_back(p + "submitted",
@@ -352,6 +353,8 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
+      jobs = static_cast<size_t>(std::stoul(argv[i] + 7));
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       jobs = static_cast<size_t>(std::stoul(argv[++i]));
     } else {

@@ -36,9 +36,12 @@ class MpscBlockingQueue {
   /// complexity.
   void Push(T item) {
     while (!ring_.TryPush(item)) std::this_thread::yield();
-    // Pair with the sleeper protocol below: the ring push is sequentially
-    // consistent with the sleepers_ load, so either the consumer's re-check
-    // sees the item or we see its registration and wake it.
+    // Pairs with the fence in Pop. The ring publishes with a release store,
+    // which alone does not order it before the sleepers_ load below
+    // (StoreLoad): a parked consumer could miss the item. With a seq_cst
+    // fence on both sides, either the consumer's re-check sees the item or
+    // this load sees its registration and wakes it.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (sleepers_.load(std::memory_order_seq_cst) > 0) {
       std::lock_guard<std::mutex> lk(mu_);
       cv_.notify_all();
@@ -50,8 +53,8 @@ class MpscBlockingQueue {
   std::optional<T> TryPop() { return ring_.TryPop(); }
 
   /// Blocking pop: brief spin, then park on the condvar. The re-check after
-  /// registering in `sleepers_` (under the lock) closes the lost-wakeup
-  /// window against Push's post-push sleeper check.
+  /// registering in `sleepers_` (under the lock, behind a fence) closes the
+  /// lost-wakeup window against Push's post-push sleeper check.
   T Pop() {
     for (int spin = 0; spin < 64; ++spin) {
       if (auto item = ring_.TryPop()) return std::move(*item);
@@ -59,6 +62,7 @@ class MpscBlockingQueue {
     }
     std::unique_lock<std::mutex> lk(mu_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // see Push
     for (;;) {
       if (auto item = ring_.TryPop()) {
         sleepers_.fetch_sub(1, std::memory_order_seq_cst);

@@ -61,7 +61,7 @@ void Cluster::Start() {
   for (auto& s : shards_) s->Start();
 }
 
-sim::Task<void> Cluster::PreheatBufferPools() {
+sim::Task<void> Cluster::PreheatBufferPool() {
   for (auto& s : shards_) co_await s->PreheatBufferPool();
 }
 

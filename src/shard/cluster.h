@@ -60,7 +60,7 @@ class Cluster {
 
   // Lifecycle fan-out (same contract as the single-engine calls).
   void Start();
-  sim::Task<void> PreheatBufferPools();
+  sim::Task<void> PreheatBufferPool();
   sim::Task<void> Shutdown();
   void ResetStats();
   void FinishRun();

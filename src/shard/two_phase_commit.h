@@ -54,7 +54,7 @@
 // appended only after every branch's kCommit is durable, so any
 // consistent cut that contains the forget also contains every branch's
 // commit record, and those branches win locally without the decision.
-// workload::ShardedCrashHarness checks exactly this against an oracle.
+// workload::CrashHarness checks exactly this against an oracle.
 //
 // Snapshot reads: a fully read-only distributed transaction never enters
 // 2PC. RunSnapshotRead fans its fragments out exactly like execute above;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sim/sync.h"
+#include "workload/sharded_driver.h"
 
 namespace bionicdb::workload {
 
@@ -16,42 +17,90 @@ DriverConfig ValidatedDriverConfig(DriverConfig config) {
 
 namespace {
 
+/// Runs one transaction to a final status. A wait-die abort re-executes it
+/// up to config.max_retries times with its priority pinned across attempts
+/// (so the transaction ages) and a linear backoff plus deterministic
+/// jitter in between: correlated retry storms of similarly-aged
+/// transactions otherwise keep colliding. Zero backoff means an immediate
+/// retry with no jitter draw (Uniform(0) is a contract violation).
+/// `attempt(&priority)` runs one execution; `on_retry()` fires before each
+/// re-execution's backoff. Every sim driver retries through here.
+template <typename AttemptFn, typename OnRetryFn>
+sim::Task<Status> ExecuteWithRetries(sim::Simulator* sim,
+                                     const DriverConfig& config,
+                                     AttemptFn attempt, OnRetryFn on_retry) {
+  Status st;
+  uint64_t priority = 0;
+  for (int n = 0; n <= config.max_retries; ++n) {
+    st = co_await attempt(&priority);
+    if (!st.IsAborted()) break;
+    on_retry();
+    SimTime jitter = 0;
+    if (config.retry_backoff_ns > 0) {
+      jitter = static_cast<SimTime>(
+          sim->rng().Uniform(static_cast<uint64_t>(config.retry_backoff_ns)));
+    }
+    co_await sim::Delay{sim, config.retry_backoff_ns * (n + 1) + jitter};
+  }
+  co_return st;
+}
+
+// The closed loop is written once over its target: an engine::Engine or a
+// shard::Cluster. These overloads are the only places the two differ.
+
+const engine::EngineConfig& EngineConfigOf(engine::Engine* engine) {
+  return engine->config();
+}
+const engine::EngineConfig& EngineConfigOf(shard::Cluster* cluster) {
+  return cluster->shard(0)->config();
+}
+
+/// The report counters a transaction is charged to: the single-engine
+/// report itself, or the sharded report's HOME shard (lowest shard id the
+/// transaction touches), counting cross-shard submissions on the way.
+DriverReport* CountersFor(DriverReport* report,
+                          const engine::Engine::TxnSpec& /*txn*/) {
+  return report;
+}
+DriverReport* CountersFor(ShardedDriverReport* report,
+                          const shard::ShardedTxn& txn) {
+  if (report == nullptr) return nullptr;
+  int home = txn.fragments[0].shard;
+  for (const shard::ShardFragment& f : txn.fragments) {
+    home = std::min(home, f.shard);
+  }
+  if (txn.cross_shard()) ++report->cross_shard_submitted;
+  return &report->per_shard[static_cast<size_t>(home)];
+}
+
 struct Wave {
   explicit Wave(sim::Simulator* sim) : done(sim) {}
   uint64_t remaining = 0;
   sim::Completion done;
 };
 
-sim::Task<void> Client(engine::Engine* engine, NextTxnFn next,
-                       uint64_t my_txns, int socket, Wave* wave,
-                       const DriverConfig* config, DriverReport* report) {
+template <typename Target, typename NextFn, typename Report>
+sim::Task<void> Client(Target* target, NextFn next, uint64_t my_txns,
+                       int socket, Wave* wave, const DriverConfig* config,
+                       Report* report) {
   for (uint64_t i = 0; i < my_txns; ++i) {
-    engine::Engine::TxnSpec spec = next();
-    Status st;
-    uint64_t priority = 0;  // pinned across retries so the txn ages
-    for (int attempt = 0; attempt <= config->max_retries; ++attempt) {
-      engine::Engine::TxnSpec copy = spec;
-      st = co_await engine->Execute(std::move(copy), socket, &priority);
-      if (!st.IsAborted()) break;
-      if (report) ++report->retries;
-      // Linear backoff with deterministic jitter: correlated retry storms
-      // of similarly-aged transactions otherwise keep colliding. Zero
-      // backoff means an immediate retry — no jitter draw (Uniform(0) is
-      // a contract violation).
-      SimTime jitter = 0;
-      if (config->retry_backoff_ns > 0) {
-        jitter = static_cast<SimTime>(engine->simulator()->rng().Uniform(
-            static_cast<uint64_t>(config->retry_backoff_ns)));
-      }
-      co_await sim::Delay{engine->simulator(),
-                          config->retry_backoff_ns * (attempt + 1) + jitter};
-    }
-    if (report) {
-      ++report->submitted;
+    const auto txn = next();
+    DriverReport* counters = CountersFor(report, txn);
+    const Status st = co_await ExecuteWithRetries(
+        target->simulator(), *config,
+        [&](uint64_t* priority) {
+          auto copy = txn;
+          return target->Execute(std::move(copy), socket, priority);
+        },
+        [counters] {
+          if (counters != nullptr) ++counters->retries;
+        });
+    if (counters != nullptr) {
+      ++counters->submitted;
       if (st.IsAborted()) {
-        ++report->gave_up;
+        ++counters->gave_up;
       } else if (!st.ok()) {
-        ++report->failed;
+        ++counters->failed;
       }
     }
   }
@@ -61,14 +110,14 @@ sim::Task<void> Client(engine::Engine* engine, NextTxnFn next,
 /// Precondition: config came through ValidatedDriverConfig (clients >= 1;
 /// a zero-client wave would never Set() its completion and divide by zero
 /// splitting shares).
-sim::Task<void> RunWave(engine::Engine* engine, NextTxnFn next,
-                        uint64_t total_txns, const DriverConfig& config,
-                        DriverReport* report) {
-  sim::Simulator* sim = engine->simulator();
+template <typename Target, typename NextFn, typename Report>
+sim::Task<void> RunWave(Target* target, NextFn next, uint64_t total_txns,
+                        const DriverConfig& config, Report* report) {
+  sim::Simulator* sim = target->simulator();
   BIONICDB_CHECK(config.clients > 0);
   Wave wave(sim);
   wave.remaining = static_cast<uint64_t>(config.clients);
-  const int sockets = std::max(1, engine->config().sockets);
+  const int sockets = std::max(1, EngineConfigOf(target).sockets);
   for (int c = 0; c < config.clients; ++c) {
     const uint64_t share =
         total_txns / static_cast<uint64_t>(config.clients) +
@@ -77,26 +126,42 @@ sim::Task<void> RunWave(engine::Engine* engine, NextTxnFn next,
              ? 1
              : 0);
     sim->Spawn(
-        Client(engine, next, share, c % sockets, &wave, &config, report));
+        Client(target, next, share, c % sockets, &wave, &config, report));
   }
   co_await wave.done.Wait();
+}
+
+template <typename Target, typename NextFn, typename Report>
+sim::Task<void> ClosedLoop(Target* target, NextFn next,
+                           DriverConfig raw_config, Report* report) {
+  const DriverConfig config = ValidatedDriverConfig(raw_config);
+  target->Start();
+  if (config.preheat) co_await target->PreheatBufferPool();
+  if (config.warmup_txns > 0) {
+    co_await RunWave(target, next, config.warmup_txns, config,
+                     static_cast<Report*>(nullptr));
+  }
+  target->ResetStats();
+  co_await RunWave(target, next, config.measured_txns, config, report);
+  target->FinishRun();
+  co_await target->Shutdown();
 }
 
 }  // namespace
 
 sim::Task<void> RunClosedLoop(engine::Engine* engine, NextTxnFn next,
-                              const DriverConfig& raw_config,
-                              DriverReport* report) {
-  const DriverConfig config = ValidatedDriverConfig(raw_config);
-  engine->Start();
-  if (config.preheat) co_await engine->PreheatBufferPool();
-  if (config.warmup_txns > 0) {
-    co_await RunWave(engine, next, config.warmup_txns, config, nullptr);
+                              DriverConfig config, DriverReport* report) {
+  return ClosedLoop(engine, std::move(next), config, report);
+}
+
+sim::Task<void> RunShardedClosedLoop(shard::Cluster* cluster,
+                                     NextShardedTxnFn next,
+                                     DriverConfig config,
+                                     ShardedDriverReport* report) {
+  if (report != nullptr) {
+    report->per_shard.assign(static_cast<size_t>(cluster->num_shards()), {});
   }
-  engine->ResetStats();
-  co_await RunWave(engine, next, config.measured_txns, config, report);
-  engine->FinishRun();
-  co_await engine->Shutdown();
+  return ClosedLoop(cluster, std::move(next), config, report);
 }
 
 // ------------------------------------------------------------ open loop --
@@ -130,23 +195,16 @@ sim::Task<void> OpenLoopServer(engine::Engine* engine,
     for (auto& entry : batch) {
       const int socket = static_cast<int>(entry.item.client %
                                           static_cast<uint64_t>(sockets));
-      Status st;
-      uint64_t priority = 0;  // pinned across retries so the txn ages
-      for (int attempt = 0; attempt <= config->service.max_retries;
-           ++attempt) {
-        engine::Engine::TxnSpec copy = entry.item.spec;
-        st = co_await engine->Execute(std::move(copy), socket, &priority,
-                                      entry.enqueue_ts);
-        if (!st.IsAborted()) break;
-        if (report && state->measuring) ++report->retries;
-        SimTime jitter = 0;
-        if (config->service.retry_backoff_ns > 0) {
-          jitter = static_cast<SimTime>(sim->rng().Uniform(
-              static_cast<uint64_t>(config->service.retry_backoff_ns)));
-        }
-        co_await sim::Delay{
-            sim, config->service.retry_backoff_ns * (attempt + 1) + jitter};
-      }
+      const Status st = co_await ExecuteWithRetries(
+          sim, config->service,
+          [&](uint64_t* priority) {
+            engine::Engine::TxnSpec copy = entry.item.spec;
+            return engine->Execute(std::move(copy), socket, priority,
+                                   entry.enqueue_ts);
+          },
+          [&] {
+            if (report && state->measuring) ++report->retries;
+          });
       if (report && state->measuring) {
         ++report->completed;
         if (st.ok()) {
@@ -212,7 +270,7 @@ OpenLoopConfig ValidatedOpenLoopConfig(OpenLoopConfig config) {
 }  // namespace
 
 sim::Task<void> RunOpenLoop(engine::Engine* engine, NextTxnFn next,
-                            const OpenLoopConfig& raw_config,
+                            OpenLoopConfig raw_config,
                             OpenLoopReport* report) {
   const OpenLoopConfig config = ValidatedOpenLoopConfig(raw_config);
   // The engine must have been built with config.admission.enabled — the

@@ -3,7 +3,9 @@
 //  * RunClosedLoop — N clients, each submitting transactions back-to-back,
 //    with a warmup wave (populating caches) excluded from the measurement
 //    window. Offered load is capped by service capacity by construction,
-//    so the engine never sees overload.
+//    so the engine never sees overload. The same client, wave and
+//    lifecycle code drives a shard::Cluster (RunShardedClosedLoop in
+//    workload/sharded_driver.h): one engine is a 1-shard cluster.
 //  * RunOpenLoop — an arrival PROCESS (workload/arrival.h) offers load
 //    independently of service completions, through the engine's bounded
 //    admission queue (queueing/admission.h). Offered load may exceed
@@ -55,9 +57,11 @@ struct DriverReport {
 /// Runs the full benchmark inside the simulator: starts the engine's
 /// agents, runs the warmup wave, resets stats, runs the measured wave,
 /// closes the measurement window, and drains the agents. Spawn this on the
-/// simulator and call sim.Run().
+/// simulator and call sim.Run(). The config is taken by value: the task is
+/// lazy and first reads it inside sim.Run(), after a temporary passed here
+/// would already be gone.
 sim::Task<void> RunClosedLoop(engine::Engine* engine, NextTxnFn next,
-                              const DriverConfig& config,
+                              DriverConfig config,
                               DriverReport* report = nullptr);
 
 // ----------------------------------------------------------- open loop --
@@ -111,9 +115,10 @@ struct OpenLoopReport {
 /// .enabled (it drives engine->admission()). Spawns `service.clients`
 /// server tasks plus one arrival task, runs warmup + measured windows in
 /// virtual time, drains the residual queue, and shuts the engine down.
-/// Spawn on the simulator and call sim.Run().
+/// Spawn on the simulator and call sim.Run(). Config by value, as for
+/// RunClosedLoop.
 sim::Task<void> RunOpenLoop(engine::Engine* engine, NextTxnFn next,
-                            const OpenLoopConfig& config,
+                            OpenLoopConfig config,
                             OpenLoopReport* report = nullptr);
 
 }  // namespace bionicdb::workload

@@ -19,6 +19,7 @@ using engine::EngineMode;
 using workload::CrashHarness;
 using workload::CrashHarnessConfig;
 using workload::CrashRunResult;
+using workload::ShardLog;
 using workload::TailFault;
 
 // ---------------------------------------------------------------------------
@@ -100,20 +101,22 @@ TEST(FaultInjectionTest, SameSeedYieldsIdenticalTraceAndRecoveryStats) {
 
   EXPECT_EQ(r1.end_time_ns, r2.end_time_ns);
   EXPECT_EQ(r1.events_processed, r2.events_processed);
-  EXPECT_EQ(r1.log, r2.log);
-  EXPECT_EQ(r1.durable_lsn, r2.durable_lsn);
+  EXPECT_EQ(r1.shards[0].log, r2.shards[0].log);
+  EXPECT_EQ(r1.shards[0].durable_lsn, r2.shards[0].durable_lsn);
   EXPECT_EQ(r1.commits, r2.commits);
   EXPECT_EQ(r1.aborts, r2.aborts);
   EXPECT_EQ(r1.faults_injected, r2.faults_injected);
-  EXPECT_EQ(r1.log_stats.flush_retries, r2.log_stats.flush_retries);
-  EXPECT_EQ(r1.log_stats.flush_backoff_ns, r2.log_stats.flush_backoff_ns);
+  EXPECT_EQ(r1.shards[0].log_stats.flush_retries,
+            r2.shards[0].log_stats.flush_retries);
+  EXPECT_EQ(r1.shards[0].log_stats.flush_backoff_ns,
+            r2.shards[0].log_stats.flush_backoff_ns);
 
   // Recovery at the same crash point reports identical stats.
-  const size_t cut = r1.log.size() / 2;
+  const size_t cut = r1.shards[0].log.size() / 2;
   wal::RecoveryStats s1;
   wal::RecoveryStats s2;
-  EXPECT_EQ(h1.CheckCrashPoint(cut, TailFault::kCleanCut, 1, &s1), "");
-  EXPECT_EQ(h2.CheckCrashPoint(cut, TailFault::kCleanCut, 1, &s2), "");
+  EXPECT_EQ(h1.CheckCrashPoint({{cut}, TailFault::kCleanCut, 1}, &s1), "");
+  EXPECT_EQ(h2.CheckCrashPoint({{cut}, TailFault::kCleanCut, 1}, &s2), "");
   EXPECT_EQ(s1.records_scanned, s2.records_scanned);
   EXPECT_EQ(s1.committed_txns, s2.committed_txns);
   EXPECT_EQ(s1.loser_txns, s2.loser_txns);
@@ -129,15 +132,17 @@ TEST(FaultInjectionTest, OneShotFlushFaultIsRetriedWithBackoff) {
 
   CrashHarness h(cfg);
   const CrashRunResult& r = h.Run();
+  const ShardLog& log = r.shards[0];
   EXPECT_EQ(r.faults_injected, 1u);
-  EXPECT_EQ(r.log_stats.flush_errors, 1u);
-  EXPECT_GE(r.log_stats.flush_retries, 1u);
-  EXPECT_GT(r.log_stats.flush_backoff_ns, 0u);
-  EXPECT_EQ(r.log_stats.flush_failures, 0u);
+  EXPECT_EQ(log.log_stats.flush_errors, 1u);
+  EXPECT_GE(log.log_stats.flush_retries, 1u);
+  EXPECT_GT(log.log_stats.flush_backoff_ns, 0u);
+  EXPECT_EQ(log.log_stats.flush_failures, 0u);
   EXPECT_EQ(r.durability_failures, 0u);
   EXPECT_GT(r.commits, 0u);
   // Everything still recovers exactly.
-  EXPECT_EQ(h.CheckCrashPoint(r.log.size(), TailFault::kCleanCut, 1), "");
+  EXPECT_EQ(h.CheckCrashPoint({{log.log.size()}, TailFault::kCleanCut, 1}),
+            "");
 }
 
 TEST(FaultInjectionTest, DeadLogDeviceDegradesWithoutCrashing) {
@@ -146,16 +151,17 @@ TEST(FaultInjectionTest, DeadLogDeviceDegradesWithoutCrashing) {
 
   CrashHarness h(cfg);
   const CrashRunResult& r = h.Run();
+  const ShardLog& log = r.shards[0];
   // The first flush exhausts its retry budget, the error sticks, and every
   // write transaction fails durability — but the run completes.
-  EXPECT_EQ(r.durable_lsn, 0u);
-  EXPECT_GE(r.log_stats.flush_failures, 1u);
-  EXPECT_GE(r.log_stats.flush_retries,
+  EXPECT_EQ(log.durable_lsn, 0u);
+  EXPECT_GE(log.log_stats.flush_failures, 1u);
+  EXPECT_GE(log.log_stats.flush_retries,
             static_cast<uint64_t>(wal::RetryPolicy{}.max_attempts - 1));
   EXPECT_GT(r.durability_failures, 0u);
   EXPECT_GT(r.end_time_ns, 0u);
   // Nothing durable means recovery reproduces the loaded state.
-  EXPECT_EQ(h.CheckCrashPoint(0, TailFault::kCleanCut, 1), "");
+  EXPECT_EQ(h.CheckCrashPoint({{0}, TailFault::kCleanCut, 1}), "");
 }
 
 TEST(FaultInjectionTest, CrashAtLsnFreezesDurabilityAtConsistentPrefix) {
@@ -164,13 +170,16 @@ TEST(FaultInjectionTest, CrashAtLsnFreezesDurabilityAtConsistentPrefix) {
 
   CrashHarness h(cfg);
   const CrashRunResult& r = h.Run();
-  EXPECT_LE(r.durable_lsn, 6000u);
-  EXPECT_GT(r.durable_lsn, 0u);
-  EXPECT_LT(r.durable_lsn, r.log.size());  // Writes continued past the crash.
+  const ShardLog& log = r.shards[0];
+  EXPECT_LE(log.durable_lsn, 6000u);
+  EXPECT_GT(log.durable_lsn, 0u);
+  // Writes continued past the crash.
+  EXPECT_LT(log.durable_lsn, log.log.size());
   EXPECT_GT(r.durability_failures, 0u);
   // The frozen durable prefix recovers to exactly its oracle state.
-  EXPECT_EQ(h.CheckCrashPoint(static_cast<size_t>(r.durable_lsn),
-                              TailFault::kCleanCut, 1),
+  EXPECT_EQ(h.CheckCrashPoint({{static_cast<size_t>(log.durable_lsn)},
+                               TailFault::kCleanCut,
+                               1}),
             "");
 }
 
@@ -183,7 +192,9 @@ TEST(FaultInjectionTest, HardwareProbeFaultsFallBackToSoftware) {
   EXPECT_GT(r.hw_fallbacks, 0u);
   EXPECT_GT(r.faults_injected, 0u);
   EXPECT_GT(r.commits, 0u);  // Degraded, still serving.
-  EXPECT_EQ(h.CheckCrashPoint(r.log.size(), TailFault::kCleanCut, 1), "");
+  EXPECT_EQ(
+      h.CheckCrashPoint({{r.shards[0].log.size()}, TailFault::kCleanCut, 1}),
+      "");
 }
 
 TEST(FaultInjectionTest, TpccRunsUnderFaultsAndRecovers) {
@@ -199,9 +210,12 @@ TEST(FaultInjectionTest, TpccRunsUnderFaultsAndRecovers) {
   CrashHarness h(cfg);
   const CrashRunResult& r = h.Run();
   EXPECT_GT(r.commits, 0u);
-  EXPECT_EQ(r.log_stats.flush_failures, 0u);
-  EXPECT_EQ(h.CheckCrashPoint(r.log.size(), TailFault::kCleanCut, 1), "");
-  EXPECT_EQ(h.CheckCrashPoint(r.log.size() / 3, TailFault::kZeroFill, 2), "");
+  const ShardLog& log = r.shards[0];
+  EXPECT_EQ(log.log_stats.flush_failures, 0u);
+  EXPECT_EQ(h.CheckCrashPoint({{log.log.size()}, TailFault::kCleanCut, 1}),
+            "");
+  EXPECT_EQ(
+      h.CheckCrashPoint({{log.log.size() / 3}, TailFault::kZeroFill, 2}), "");
 }
 
 }  // namespace

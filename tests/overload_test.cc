@@ -1,6 +1,6 @@
-// Driver tests: closed-loop config validation and report accounting
-// (retry jitter at zero backoff, zero-client clamp, abort-storm and
-// fault-plan invariants), the arrival-process models, and the open-loop
+// Driver tests: closed-loop config validation, config lifetime and report
+// accounting (retry jitter at zero backoff, zero-client clamp, abort-storm
+// and fault-plan invariants), the arrival-process models, and the open-loop
 // overload driver end to end (shedding, sojourn accounting, determinism,
 // admit-stage attribution).
 #include <gtest/gtest.h>
@@ -10,9 +10,12 @@
 
 #include "engine/engine.h"
 #include "obs/timeline.h"
+#include "shard/cluster.h"
 #include "sim/simulator.h"
 #include "workload/arrival.h"
 #include "workload/driver.h"
+#include "workload/sharded_driver.h"
+#include "workload/sharded_tatp.h"
 #include "workload/tatp.h"
 
 namespace bionicdb::workload {
@@ -67,6 +70,83 @@ TEST(DriverConfigTest, ZeroClientsRunsToCompletion) {
       &engine, [&]() { return tatp.NextTransaction(); }, dcfg, &report));
   sim.Run();
   EXPECT_EQ(report.submitted, 50u);
+}
+
+// ------------------------------------------------------ config lifetime --
+//
+// The drivers are lazy tasks: they first read their config inside
+// sim.Run(), after the caller's full-expression has ended. A temporary
+// config must be copied into the task, not referenced (the ASan build
+// reports a reference as stack-use-after-scope).
+
+DriverConfig SmallClosedLoop() {
+  DriverConfig dcfg;
+  dcfg.clients = 4;
+  dcfg.warmup_txns = 10;
+  dcfg.measured_txns = 50;
+  return dcfg;
+}
+
+TEST(DriverConfigTest, ClosedLoopOwnsATemporaryConfig) {
+  Simulator sim;
+  Engine engine(&sim, DoraConfig());
+  TatpConfig wcfg;
+  wcfg.subscribers = 100;
+  TatpWorkload tatp(&engine, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  DriverReport report;
+  sim.Spawn(RunClosedLoop(
+      &engine, [&]() { return tatp.NextTransaction(); }, SmallClosedLoop(),
+      &report));
+  sim.Run();
+  EXPECT_EQ(report.submitted, 50u);
+}
+
+TEST(DriverConfigTest, ShardedClosedLoopOwnsATemporaryConfig) {
+  Simulator sim;
+  shard::ClusterConfig cc;
+  cc.num_shards = 2;
+  cc.engine = DoraConfig();
+  shard::Cluster cluster(&sim, cc);
+  ShardedTatpConfig wcfg;
+  wcfg.subscribers = 100;
+  wcfg.cross_shard_ratio = 0.2;
+  ShardedTatp tatp(&cluster, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  ShardedDriverReport report;
+  sim.Spawn(RunShardedClosedLoop(
+      &cluster, [&]() { return tatp.NextTransaction(); }, SmallClosedLoop(),
+      &report));
+  sim.Run();
+  EXPECT_EQ(report.submitted(), 50u);
+}
+
+TEST(DriverConfigTest, OpenLoopOwnsATemporaryConfig) {
+  Simulator sim;
+  EngineConfig cfg = DoraConfig();
+  cfg.admission.enabled = true;
+  Engine engine(&sim, cfg);
+  TatpConfig wcfg;
+  wcfg.subscribers = 100;
+  TatpWorkload tatp(&engine, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  OpenLoopReport report;
+  sim.Spawn(RunOpenLoop(
+      &engine, [&]() { return tatp.NextTransaction(); },
+      [] {
+        OpenLoopConfig ocfg;
+        ocfg.arrival.offered_tps = 50000;
+        ocfg.warmup_ns = 200000;
+        ocfg.measure_ns = 2000000;
+        ocfg.service.clients = 4;
+        return ocfg;
+      }(),
+      &report));
+  sim.Run();
+  // ~100 arrivals at 50k txn/s over 2 ms, all served at this load.
+  EXPECT_GT(report.offered, 50u);
+  EXPECT_EQ(report.shed, 0u);
+  EXPECT_GE(report.completed, report.offered);
 }
 
 // ------------------------------------------------------ retry accounting --

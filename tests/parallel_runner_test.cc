@@ -80,14 +80,14 @@ TEST(ParallelRunnerTest, CrashCorpusParallelMatchesSerial) {
   std::vector<workload::CrashHarness::CrashPoint> points;
   const size_t stride = offsets.size() / 4;
   for (size_t i = stride; i < offsets.size(); i += stride) {
-    points.push_back({offsets[i], workload::TailFault::kCleanCut, 1});
-    points.push_back({offsets[i] + 2, workload::TailFault::kZeroFill, 2});
-    points.push_back({offsets[i], workload::TailFault::kBitFlip, 3});
+    points.push_back({{offsets[i]}, workload::TailFault::kCleanCut, 1});
+    points.push_back({{offsets[i] + 2}, workload::TailFault::kZeroFill, 2});
+    points.push_back({{offsets[i]}, workload::TailFault::kBitFlip, 3});
   }
 
   std::vector<std::string> serial;
   for (const auto& p : points) {
-    serial.push_back(harness.CheckCrashPoint(p.cut, p.fault, p.seed));
+    serial.push_back(harness.CheckCrashPoint(p));
   }
   const std::vector<std::string> parallel =
       harness.CheckCrashPoints(points, 4);

@@ -1,15 +1,19 @@
-// Tests for the concurrent queues (SPSC ring, MPMC) — including real
-// multi-threaded stress — and the agent doze/convoy scheduler.
+// Tests for the concurrent queues (MPMC ring, the threaded backend's
+// blocking MPSC mailbox) — including real multi-threaded stress — and the
+// agent doze/convoy scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "exec/mpsc_queue.h"
 #include "queueing/admission.h"
 #include "queueing/mpmc.h"
-#include "queueing/ring.h"
 #include "queueing/scheduler.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -17,60 +21,6 @@
 
 namespace bionicdb::queueing {
 namespace {
-
-// ------------------------------------------------------------------- SPSC --
-
-TEST(SpscRingTest, PushPopSingleThread) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.Empty());
-  EXPECT_TRUE(ring.TryPush(1));
-  EXPECT_TRUE(ring.TryPush(2));
-  EXPECT_EQ(ring.SizeApprox(), 2u);
-  EXPECT_EQ(*ring.TryPop(), 1);
-  EXPECT_EQ(*ring.TryPop(), 2);
-  EXPECT_FALSE(ring.TryPop().has_value());
-}
-
-TEST(SpscRingTest, FillsToCapacity) {
-  SpscRing<int> ring(4);
-  int pushed = 0;
-  while (ring.TryPush(pushed)) ++pushed;
-  EXPECT_GE(pushed, 4);
-  EXPECT_FALSE(ring.TryPush(99));
-  EXPECT_EQ(*ring.TryPop(), 0);
-  EXPECT_TRUE(ring.TryPush(99));  // a pop frees a slot
-}
-
-TEST(SpscRingTest, TwoThreadStress) {
-  SpscRing<uint64_t> ring(256);
-  constexpr uint64_t kItems = 200000;
-  std::atomic<uint64_t> sum{0};
-  std::thread producer([&] {
-    for (uint64_t i = 1; i <= kItems; ++i) {
-      while (!ring.TryPush(i)) std::this_thread::yield();
-    }
-  });
-  std::thread consumer([&] {
-    uint64_t local = 0, got = 0;
-    uint64_t expected_next = 1;
-    while (got < kItems) {
-      auto v = ring.TryPop();
-      if (!v) {
-        std::this_thread::yield();
-        continue;
-      }
-      // FIFO must hold exactly in SPSC.
-      ASSERT_EQ(*v, expected_next);
-      ++expected_next;
-      local += *v;
-      ++got;
-    }
-    sum = local;
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(sum.load(), kItems * (kItems + 1) / 2);
-}
 
 // ------------------------------------------------------------------- MPMC --
 
@@ -122,6 +72,62 @@ TEST(MpmcQueueTest, ManyProducersManyConsumers) {
   const uint64_t total = kProducers * kPerProducer;
   EXPECT_EQ(consumed.load(), total);
   EXPECT_EQ(sum.load(), total * (total + 1) / 2);
+}
+
+// ------------------------------------------------------ MpscBlockingQueue --
+
+void SpinForMicros(uint64_t us) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Two threads bounce a token through a pair of mailboxes, each side waiting
+// a varying 0-40 us before it answers: long waits push the other side's
+// Pop past its spin budget onto the condvar, short ones land the Push
+// while it is registering as a sleeper. A lost wakeup parks a consumer on
+// an item already in its ring and the round trip never completes, so a
+// watchdog aborts the test instead of letting it hang. Not a deterministic
+// reproducer: without the fences in Push/Pop the hang shows in a small
+// fraction of runs.
+TEST(MpscBlockingQueueTest, PingPongNeverLosesAWakeup) {
+  constexpr uint64_t kRounds = 20000;
+  exec::MpscBlockingQueue<uint64_t> ping(4);
+  exec::MpscBlockingQueue<uint64_t> pong(4);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::thread echo([&] {
+    for (uint64_t i = 1; i <= kRounds; ++i) {
+      const uint64_t v = ping.Pop();
+      SpinForMicros(i * 7 % 41);
+      pong.Push(v);
+    }
+  });
+  std::thread driver([&] {
+    for (uint64_t i = 1; i <= kRounds; ++i) {
+      SpinForMicros(i % 37);
+      ping.Push(i);
+      if (pong.Pop() != i) mismatches.fetch_add(1);
+    }
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!done.load()) {
+    // The parked threads can never be joined; end the process so ctest
+    // records a failure rather than a timeout.
+    std::fprintf(stderr,
+                 "MpscBlockingQueue ping-pong stalled: a parked consumer "
+                 "missed its wakeup\n");
+    std::abort();
+  }
+  echo.join();
+  driver.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // -------------------------------------------------------------- Scheduler --

@@ -179,7 +179,8 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
   workload::CrashHarness harness(cfg);
   const workload::CrashRunResult& run = harness.Run();
   ASSERT_GT(run.commits, 0u);
-  ASSERT_GT(run.log.size(), 0u);
+  const size_t log_size = run.shards[0].log.size();
+  ASSERT_GT(log_size, 0u);
 
   const workload::TailFault corpus[] = {workload::TailFault::kCleanCut,
                                         workload::TailFault::kZeroFill,
@@ -187,9 +188,9 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
   Rng rng(p.seed ^ 0xFA017u);
   std::vector<workload::CrashHarness::CrashPoint> points;
   for (int i = 0; i < 12; ++i) {
-    const size_t cut = rng.Uniform(run.log.size() + 1);
+    const size_t cut = rng.Uniform(log_size + 1);
     for (workload::TailFault fault : corpus) {
-      points.push_back({cut, fault, p.seed + static_cast<uint64_t>(i)});
+      points.push_back({{cut}, fault, p.seed + static_cast<uint64_t>(i)});
     }
   }
   // Checked through the deterministic multi-core runner: each point
@@ -199,7 +200,7 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
       harness.CheckCrashPoints(points, common::DefaultJobs());
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(failures[i], "")
-        << "point " << i << " cut=" << points[i].cut << " fault="
+        << "point " << i << " cut=" << points[i].cuts[0] << " fault="
         << workload::TailFaultName(points[i].fault);
   }
 }

@@ -112,7 +112,7 @@ void RunCrashGrid(size_t jobs) {
   cfg.scale = 80;
   workload::CrashHarness harness(cfg);
   const std::vector<size_t>& offsets = harness.record_offsets();
-  const size_t log_size = harness.Run().log.size();
+  const size_t log_size = harness.Run().shards[0].log.size();
 
   std::vector<workload::CrashHarness::CrashPoint> points;
   const size_t stride = offsets.size() < 12 ? 1 : offsets.size() / 12;
@@ -120,11 +120,11 @@ void RunCrashGrid(size_t jobs) {
     for (workload::TailFault fault :
          {workload::TailFault::kCleanCut, workload::TailFault::kZeroFill,
           workload::TailFault::kBitFlip}) {
-      points.push_back({offsets[i] + 3, fault,
+      points.push_back({{offsets[i] + 3}, fault,
                         cfg.seed ^ (offsets[i] * 0x9E3779B97F4A7C15ull)});
     }
   }
-  points.push_back({log_size, workload::TailFault::kCleanCut, cfg.seed});
+  points.push_back({{log_size}, workload::TailFault::kCleanCut, cfg.seed});
 
   const std::vector<std::string> failures =
       harness.CheckCrashPoints(points, jobs);
@@ -132,7 +132,8 @@ void RunCrashGrid(size_t jobs) {
   for (size_t i = 0; i < points.size(); ++i) {
     if (failures[i].empty()) {
       std::printf("crash        %-10s cut=%-8zu ok\n",
-                  workload::TailFaultName(points[i].fault), points[i].cut);
+                  workload::TailFaultName(points[i].fault),
+                  points[i].cuts[0]);
     } else {
       ++bad;
       std::printf("crash        FAIL %s\n", failures[i].c_str());
