@@ -4,9 +4,11 @@ namespace bionicdb::engine {
 
 Table::Table(uint32_t id, std::string name, storage::SimDisk* disk,
              const index::BTreeConfig& index_config, bool with_overlay,
-             size_t overlay_capacity, bool compact_storage)
+             bool rows_in_overlay, size_t overlay_capacity,
+             bool compact_storage)
     : id_(id), name_(std::move(name)), disk_(disk), primary_(index_config),
-      index_config_(index_config) {
+      rows_in_overlay_(rows_in_overlay), index_config_(index_config) {
+  BIONICDB_CHECK(with_overlay || !rows_in_overlay);
   if (with_overlay) {
     overlay_ = std::make_unique<Overlay>(index_config, overlay_capacity);
   }
@@ -134,6 +136,62 @@ Status Table::BaseDelete(Slice key) {
   return Status::OK();
 }
 
+Status Table::Put(Slice key, Slice record) {
+  if (rows_in_overlay_) {
+    overlay_->Put(key, record);
+    return Status::OK();
+  }
+  return BasePut(key, record);
+}
+
+Status Table::Delete(Slice key) {
+  if (rows_in_overlay_) {
+    overlay_->Delete(key);
+    return Status::OK();
+  }
+  return BaseDelete(key);
+}
+
+Status Table::CheckAbsent(Slice key, int* node_visits) const {
+  if (rows_in_overlay_) {
+    const Status existing = overlay_->GetTracedView(key, node_visits).status();
+    if (existing.ok()) return Status::AlreadyExists("key exists");
+    // Not resident: the overlay cannot rule out a base row.
+    if (existing.IsOutOfMemory() && LookupRid(key).ok()) {
+      return Status::AlreadyExists("key exists in base data");
+    }
+    return Status::OK();
+  }
+  const bool exists = compact_ ? compact_->Get(key, node_visits).ok()
+                               : primary_.GetTracedView(key, node_visits).ok();
+  return exists ? Status::AlreadyExists("key exists") : Status::OK();
+}
+
+void Table::ApplyUndo(const txn::UndoEntry& entry) {
+  if (!entry.index_name.empty()) {
+    // Secondary-index maintenance: remove the derived entry.
+    index::BTree* idx = secondary(entry.index_name);
+    BIONICDB_CHECK(idx != nullptr);
+    (void)idx->Delete(entry.key);
+    return;
+  }
+  switch (entry.type) {
+    case wal::RecordType::kInsert:
+      if (rows_in_overlay_) {
+        overlay_->RemoveEntry(entry.key);
+      } else {
+        BIONICDB_CHECK(BaseDelete(entry.key).ok());
+      }
+      break;
+    case wal::RecordType::kUpdate:
+    case wal::RecordType::kDelete:
+      BIONICDB_CHECK(Put(entry.key, entry.before).ok());
+      break;
+    default:
+      BIONICDB_CHECK_MSG(false, "bad undo entry type");
+  }
+}
+
 std::vector<std::pair<std::string, std::string>> Table::ScanAll() const {
   if (compact_) {
     // Already in key order, no overlay to patch (checked at construction).
@@ -207,9 +265,9 @@ const Table::Projection* Table::projection(const std::string& name) const {
 
 Table* Database::CreateTable(const std::string& name) {
   const uint32_t id = static_cast<uint32_t>(tables_.size());
-  tables_.push_back(std::make_unique<Table>(id, name, disk_, index_config_,
-                                            with_overlays_, overlay_capacity_,
-                                            compact_storage_));
+  tables_.push_back(std::make_unique<Table>(
+      id, name, disk_, index_config_, with_overlays_, rows_in_overlays_,
+      overlay_capacity_, compact_storage_));
   return tables_.back().get();
 }
 

@@ -5,7 +5,9 @@
 //   * optional secondary B+Trees mapping secondary key -> primary key;
 //   * in bionic mode, an Overlay caching/buffering rows FPGA-side.
 // All methods here are untimed (functional); the Engine charges costs and
-// awaits devices around them.
+// awaits devices around them. The row writes (Put, Delete, CheckAbsent,
+// ApplyUndo) are where the choice between overlay, compact slab and paged
+// heap is made, for both execution substrates.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +25,18 @@
 #include "storage/compact.h"
 #include "storage/disk.h"
 #include "storage/page.h"
+#include "txn/xct.h"
 
 namespace bionicdb::engine {
 
 class Table {
  public:
+  /// `rows_in_overlay`: the overlay (which requires `with_overlay`) fronts
+  /// row reads and writes. Without it an overlay only caches the bulk load.
   Table(uint32_t id, std::string name, storage::SimDisk* disk,
         const index::BTreeConfig& index_config, bool with_overlay,
-        size_t overlay_capacity = 0, bool compact_storage = false);
+        bool rows_in_overlay = false, size_t overlay_capacity = 0,
+        bool compact_storage = false);
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(Table);
 
   uint32_t id() const { return id_; }
@@ -44,6 +50,11 @@ class Table {
   index::BTree* secondary(const std::string& index_name);
 
   Overlay* overlay() { return overlay_.get(); }
+  /// The overlay fronts row reads and writes. Otherwise rows live in base
+  /// storage (the paged heap or the compact slab), even if an overlay exists.
+  bool rows_in_overlay() const { return rows_in_overlay_; }
+  /// Rows live in buffer-pooled slotted pages (neither overlay nor compact).
+  bool paged() const { return !rows_in_overlay_ && !compact_; }
 
   /// Compact mode (storage/compact.h): rows in a slabbed heap behind a
   /// front-coded packed key index, replacing pages + primary B+Tree for
@@ -83,6 +94,19 @@ class Table {
   Result<Slice> BaseGetView(Slice key) const;
   Status BasePut(Slice key, Slice record);   ///< Update or insert in place.
   Status BaseDelete(Slice key);
+
+  // --- Logical row writes (overlay when it fronts rows, else base) -------
+  /// Writes a row (update or insert).
+  Status Put(Slice key, Slice record);
+  /// Deletes a row (an overlay tombstone, or a base delete).
+  Status Delete(Slice key);
+  /// Insert uniqueness probe: OK when `key` is absent from the logical
+  /// table, AlreadyExists otherwise. `*node_visits` receives the index
+  /// levels the probe visited (for probe costing).
+  Status CheckAbsent(Slice key, int* node_visits) const;
+  /// Reverts one undo entry: the forward op's inverse on the row store, or
+  /// removal of a secondary-index entry.
+  void ApplyUndo(const txn::UndoEntry& entry);
 
   // --- Columnar projections (Figure 4's "Columnar database" box) ---------
   /// Extracts one int64 measure from a row's record bytes.
@@ -128,6 +152,7 @@ class Table {
   std::map<std::string, std::unique_ptr<index::BTree>> secondaries_;
   std::map<std::string, Projection> projections_;
   std::unique_ptr<Overlay> overlay_;
+  bool rows_in_overlay_;
   std::unique_ptr<storage::CompactStore> compact_;
   index::BTreeConfig index_config_;
   storage::PageId fill_page_ = storage::kInvalidPageId;
@@ -139,11 +164,14 @@ class Table {
 /// The catalog: owns tables, hands out ids.
 class Database {
  public:
+  /// `rows_in_overlays`: every table's overlay fronts its rows (see
+  /// Table); requires `with_overlays`.
   Database(storage::SimDisk* data_disk, const index::BTreeConfig& index_config,
-           bool with_overlays, size_t overlay_capacity = 0,
-           bool compact_storage = false)
+           bool with_overlays, bool rows_in_overlays = false,
+           size_t overlay_capacity = 0, bool compact_storage = false)
       : disk_(data_disk), index_config_(index_config),
-        with_overlays_(with_overlays), overlay_capacity_(overlay_capacity),
+        with_overlays_(with_overlays), rows_in_overlays_(rows_in_overlays),
+        overlay_capacity_(overlay_capacity),
         compact_storage_(compact_storage) {}
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(Database);
 
@@ -160,6 +188,7 @@ class Database {
   storage::SimDisk* disk_;
   index::BTreeConfig index_config_;
   bool with_overlays_;
+  bool rows_in_overlays_;
   size_t overlay_capacity_;
   bool compact_storage_;
   std::vector<std::unique_ptr<Table>> tables_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 namespace bionicdb::engine {
 
@@ -32,11 +33,11 @@ Engine::Engine(sim::Simulator* sim, const EngineConfig& config)
                          config.mode != EngineMode::kBionic,
                      "compact storage replaces the paged heap the overlay "
                      "caches; use kConventional or kDora");
-  db_ = std::make_unique<Database>(data_disk_.get(), config.index_config,
-                                   /*with_overlays=*/config.mode ==
-                                       EngineMode::kBionic,
-                                   config.overlay_capacity,
-                                   config.compact_storage);
+  db_ = std::make_unique<Database>(
+      data_disk_.get(), config.index_config,
+      /*with_overlays=*/config.mode == EngineMode::kBionic,
+      /*rows_in_overlays=*/UseOverlay(), config.overlay_capacity,
+      config.compact_storage);
 
   const bool fpga = config.platform.has_fpga;
   if (fpga) {
@@ -417,9 +418,8 @@ void Engine::FinishRun() {
 
 // --------------------------------------------------------- cost helpers --
 
-sim::Task<void> Engine::CpuWork(ExecContext& ctx, double ns, Component c) {
-  const SimTime t = static_cast<SimTime>(ns);
-  if (t <= 0) co_return;
+sim::Task<void> Engine::SimCpuWork(ExecContext& ctx, SimTime t,
+                                   Component c) {
   sim::CorePool& cores = platform_->cpu(ctx.socket);
   if (ctx.core_held) {
     co_await cores.Work(t);
@@ -432,16 +432,14 @@ sim::Task<void> Engine::CpuWork(ExecContext& ctx, double ns, Component c) {
   breakdown_.Charge(c, t);
 }
 
-sim::Task<void> Engine::CpuWorkNoCore(double ns, Component c) {
-  const SimTime t = static_cast<SimTime>(ns);
-  if (t <= 0) co_return;
+sim::Task<void> Engine::SimCpuWorkNoCore(SimTime t, Component c) {
   co_await sim::Delay{sim_, t};
   platform_->meter().ChargeBusy(platform_->cpu_component(), t, 0);
   breakdown_.Charge(c, t);
 }
 
-sim::Task<void> Engine::ProbeCost(ExecContext& ctx, int levels,
-                                  uint32_t key_bytes) {
+sim::Task<void> Engine::SimProbeCost(ExecContext& ctx, int levels,
+                                     uint32_t key_bytes) {
   bool software = !UseHwProbe();
   if (!software) {
     // Post the probe descriptor (tiny CPU cost), then the asynchronous
@@ -475,9 +473,12 @@ sim::Task<void> Engine::ProbeCost(ExecContext& ctx, int levels,
   }
 }
 
-sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
-                                        wal::RecordType type, Table* table,
-                                        Slice key, Slice redo, Slice undo) {
+sim::Task<Status> Engine::LogWrite(ExecContext& ctx, wal::RecordType type,
+                                   Table* table, Slice key, Slice redo,
+                                   Slice undo) {
+  if (threaded_) {
+    co_return ThreadedLogWrite(ctx.xct, type, table->id(), key, redo, undo);
+  }
   // Materialize before the first suspension: callers may pass ReadView()
   // views, which other transactions can invalidate while this waits.
   std::string key_s = key.ToString();
@@ -516,9 +517,8 @@ sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
 
 sim::Task<Result<std::string>> Engine::Read(ExecContext& ctx, Table* table,
                                             Slice key) {
-  if (threaded_) co_return TRead(ctx, table, key);
   // (No `cond ? co_await a : co_await b` — GCC 12 miscompiles it.)
-  if (UseOverlay()) {
+  if (table->rows_in_overlay()) {
     auto r = co_await ReadOverlayView(ctx, table, key);
     if (!r.ok()) co_return r.status();
     co_return r->ToString();
@@ -530,17 +530,18 @@ sim::Task<Result<std::string>> Engine::Read(ExecContext& ctx, Table* table,
 
 sim::Task<Result<Slice>> Engine::ReadView(ExecContext& ctx, Table* table,
                                           Slice key) {
-  if (threaded_) co_return TReadView(ctx, table, key);
-  if (UseOverlay()) co_return co_await ReadOverlayView(ctx, table, key);
-  co_return co_await ReadPagedView(ctx, table, key);
+  // Hands back the chosen read's own (lazy) task: no forwarding frame.
+  if (table->rows_in_overlay()) return ReadOverlayView(ctx, table, key);
+  return ReadPagedView(ctx, table, key);
 }
 
 sim::Task<Result<Slice>> Engine::ReadPagedView(ExecContext& ctx,
                                                Table* table, Slice key) {
   if (table->compact()) {
-    // Packed-index probe + slab read: no buffer pool in compact mode. The
-    // view is taken after the last suspension (concurrent writes may
-    // relocate a slab entry while this transaction waits).
+    // Packed-index probe + slab read: no buffer pool in compact mode (and
+    // no threaded substrate: AttachThreadedBackend rejects compact
+    // storage). The view is taken after the last suspension (concurrent
+    // writes may relocate a slab entry while this transaction waits).
     int cvisits = 0;
     const Status probe =
         table->compact_store()->Get(key, &cvisits).status();
@@ -551,6 +552,12 @@ sim::Task<Result<Slice>> Engine::ReadPagedView(ExecContext& ctx,
     if (!rec.ok()) co_return rec.status();
     co_return *rec;
   }
+  // On threads nothing below suspends (every wait returns at once), so one
+  // shared hold of the table and the page map spans the probe, the decode
+  // and the record view, and no writer can move the bytes in between. On
+  // the simulator both guards are empty.
+  SharedGuard tg = ReadLock(table);
+  SharedGuard dg = DiskReadLock();
   int visits = 0;
   auto rid_view = table->primary().GetTracedView(key, &visits);
   // Decode before suspending: the index view dies with the next index write.
@@ -560,33 +567,49 @@ sim::Task<Result<Slice>> Engine::ReadPagedView(ExecContext& ctx,
   if (!rid_view.ok()) co_return rid_view.status();
 
   co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(), Component::kBpool);
-  auto frame = co_await bpool_->Fetch(rid.page_id);
-  if (!frame.ok()) co_return frame.status();
+  // Frames alias the device's pages (buffer_pool.h), so threads, which
+  // skip the pool, read the same page straight from the page map.
+  storage::Page* page = nullptr;
+  if (threaded_) {
+    page = data_disk_->GetPageForLoad(rid.page_id);
+    if (page == nullptr) co_return Status::NotFound("page missing");
+  } else {
+    auto frame = co_await bpool_->Fetch(rid.page_id);
+    if (!frame.ok()) co_return frame.status();
+    page = *frame;
+  }
   // Keep the frame pinned across the tuple-read charge so the record view
   // is taken after the last suspension; the bytes then stay put until the
   // caller writes or suspends (frames alias the device's stable pages).
   co_await CpuWork(ctx, platform_->cost().TupleReadNs(), Component::kOther);
-  auto rec = (*frame)->Get(rid.slot);
-  bpool_->Unpin(rid.page_id, false);
+  auto rec = page->Get(rid.slot);
+  if (!threaded_) bpool_->Unpin(rid.page_id, false);
   if (!rec.ok()) co_return rec.status();
-  co_return *rec;
+  co_return StableView(*rec);
 }
 
 sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
                                                  Table* table, Slice key) {
   Overlay* ov = table->overlay();
   BIONICDB_CHECK(ov != nullptr);
-  int visits = 0;
-  Status probe = ov->GetTracedView(key, &visits).status();
-  co_await ProbeCost(ctx, visits, static_cast<uint32_t>(key.size()));
-  if (probe.ok()) {
-    // Record is inline in the overlay leaf: no buffer pool at all.
-    co_await CpuWork(ctx, platform_->cost().InstrNs(20), Component::kOther);
-    // Re-probe (untimed) after the last suspension: concurrent overlay
-    // writes during the waits above may have moved the leaf arena.
-    auto view = ov->GetView(key);
-    if (view.ok()) co_return *view;
-    // Evicted while waiting (tiny overlays): fall through to the fetch.
+  // On threads nothing below suspends, so each guard spans its whole leg:
+  // the hit returns the view its probe found, and the miss fetches and
+  // installs under one exclusive hold. On the simulator they are empty.
+  Status probe;
+  {
+    SharedGuard tg = ReadLock(table);
+    int visits = 0;
+    auto view = ov->GetTracedView(key, &visits);
+    co_await ProbeCost(ctx, visits, static_cast<uint32_t>(key.size()));
+    if (view.ok()) {
+      // Record is inline in the overlay leaf: no buffer pool at all.
+      co_await CpuWork(ctx, platform_->cost().InstrNs(20), Component::kOther);
+      // Re-probe (untimed) after the last suspension: concurrent overlay
+      // writes during the waits above may have moved the leaf arena.
+      if (!threaded_) view = ov->GetView(key);
+      if (view.ok()) co_return StableView(*view);
+      // Evicted while waiting (tiny overlays): fall through to the fetch.
+    }
     probe = view.status();
   }
   if (probe.IsNotFound()) co_return probe;  // tombstone
@@ -598,12 +621,26 @@ sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
     // fetch:
     co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
                      Component::kBpool);
+    ExclusiveGuard tg = WriteLock(table);
     auto rid = table->LookupRid(key);
     if (!rid.ok()) co_return rid.status();  // genuinely absent
-    storage::Page page;
-    Status io = co_await data_disk_->ReadPage(rid->page_id, &page);
-    if (!io.ok()) co_return io;
-    auto rec = page.Get(rid->slot);
+    // Threads read the record in place (installs evict only clean entries,
+    // never touching base pages); the simulator reads a device copy.
+    // The copy lives on the heap, not in this coroutine's frame, so the
+    // frame stays small enough for the frame pool.
+    std::unique_ptr<storage::Page> copy;
+    const storage::Page* page = nullptr;
+    if (threaded_) {
+      SharedGuard dg = DiskReadLock();
+      page = data_disk_->GetPageForLoad(rid->page_id);
+      if (page == nullptr) co_return Status::NotFound("page missing");
+    } else {
+      copy = std::make_unique<storage::Page>();
+      page = copy.get();
+      Status io = co_await data_disk_->ReadPage(rid->page_id, copy.get());
+      if (!io.ok()) co_return io;
+    }
+    auto rec = page->Get(rid->slot);
     if (!rec.ok()) co_return rec.status();
     ov->InstallClean(key, *rec);
     // Retry the (now resident) probe.
@@ -611,7 +648,7 @@ sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
     BIONICDB_CHECK(ov->GetTracedView(key, &retry_visits).ok());
     co_await ProbeCost(ctx, retry_visits);
     auto view = ov->GetView(key);
-    if (view.ok()) co_return *view;
+    if (view.ok()) co_return StableView(*view);
     // Evicted again while the probe cost elapsed: fetch once more.
   }
 }
@@ -626,10 +663,11 @@ sim::Task<void> Engine::MultiReadOne(ExecContext ctx, Table* table,
 
 sim::Task<std::vector<Result<std::string>>> Engine::MultiRead(
     ExecContext& ctx, Table* table, const std::vector<std::string>& keys) {
-  if (threaded_) co_return TMultiRead(ctx, table, keys);
   std::vector<Result<std::string>> out(keys.size(),
                                        Result<std::string>(Status::Busy()));
-  if (!UseHwProbe() || keys.size() <= 1) {
+  // Concurrent probes are a timing effect of the probe unit; results are
+  // positionally aligned either way.
+  if (threaded_ || !UseHwProbe() || keys.size() <= 1) {
     for (size_t i = 0; i < keys.size(); ++i) {
       out[i] = co_await Read(ctx, table, keys[i]);
     }
@@ -651,41 +689,35 @@ sim::Task<std::vector<Result<std::string>>> Engine::MultiRead(
 
 sim::Task<Status> Engine::Update(ExecContext& ctx, Table* table, Slice key,
                                  Slice record, const Slice* known_old) {
-  if (threaded_) co_return TUpdate(ctx, table, key, record, known_old);
-  // The before-image (a view either way) is consumed by LogWriteTimed
-  // before its first suspension, so no owning copy is made here.
+  // Log-then-apply. The before-image (a view either way) is consumed by
+  // LogWrite before its first suspension, so no owning copy is made here.
+  // The read and the apply are not atomic together, but same-key writers
+  // are excluded by the row lock the caller already holds.
   if (known_old != nullptr) {
-    BIONICDB_CO_RETURN_NOT_OK(co_await LogWriteTimed(
+    BIONICDB_CO_RETURN_NOT_OK(co_await LogWrite(
         ctx, wal::RecordType::kUpdate, table, key, record, *known_old));
   } else {
     auto old = co_await ReadView(ctx, table, key);
     if (!old.ok()) co_return old.status();
-    BIONICDB_CO_RETURN_NOT_OK(co_await LogWriteTimed(
+    BIONICDB_CO_RETURN_NOT_OK(co_await LogWrite(
         ctx, wal::RecordType::kUpdate, table, key, record, *old));
   }
 
-  if (UseOverlay()) {
-    table->overlay()->Put(key, record);
-  } else if (table->compact()) {
-    // Slab rewrite, in place when the new bytes fit (functional; the
-    // TupleWriteNs charge below covers the copy).
-    Status st = table->BasePut(key, record);
-    if (!st.ok()) co_return st;
-  } else {
-    // In-place page update through the buffer pool.
+  if (table->paged() && !threaded_) {
+    // In-place page update through the buffer pool: the frame aliases the
+    // device page, so the Put below writes the fetched frame (relocating
+    // the row when it outgrew its page).
     auto rid = table->LookupRid(key);
     BIONICDB_CHECK(rid.ok());
     co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
                      Component::kBpool);
     auto frame = co_await bpool_->Fetch(rid->page_id);
     if (!frame.ok()) co_return frame.status();
-    Status st = (*frame)->Update(rid->slot, record);
     bpool_->Unpin(rid->page_id, true);
-    if (st.IsResourceExhausted()) {
-      // Record grew past its page: functional relocation.
-      st = table->BasePut(key, record);
-    }
-    if (!st.ok()) co_return st;
+  }
+  {
+    RowWriteGuard g = LockRowWrite(table);
+    BIONICDB_CO_RETURN_NOT_OK(table->Put(key, record));
   }
   co_await CpuWork(ctx, platform_->cost().TupleWriteNs(), Component::kOther);
   co_return Status::OK();
@@ -693,78 +725,61 @@ sim::Task<Status> Engine::Update(ExecContext& ctx, Table* table, Slice key,
 
 sim::Task<Status> Engine::Insert(ExecContext& ctx, Table* table, Slice key,
                                  Slice record) {
-  if (threaded_) co_return TInsert(ctx, table, key, record);
   // Uniqueness check through the regular probe path (view probes: only the
   // outcome is needed, never the bytes).
-  if (UseOverlay()) {
-    int visits = 0;
-    Status existing = table->overlay()->GetTracedView(key, &visits).status();
-    co_await ProbeCost(ctx, visits);
-    if (existing.ok()) co_return Status::AlreadyExists("key exists");
-    if (existing.IsOutOfMemory() && table->LookupRid(key).ok()) {
-      co_return Status::AlreadyExists("key exists in base data");
-    }
-  } else if (table->compact()) {
-    int visits = 0;
-    const bool exists = table->compact_store()->Get(key, &visits).ok();
-    co_await ProbeCost(ctx, visits);
-    if (exists) co_return Status::AlreadyExists("key exists");
-  } else {
-    int visits = 0;
-    const bool exists = table->primary().GetTracedView(key, &visits).ok();
-    co_await ProbeCost(ctx, visits);
-    if (exists) co_return Status::AlreadyExists("key exists");
-  }
+  int visits = 0;
+  const Status absent = [&] {
+    SharedGuard tg = ReadLock(table);
+    return table->CheckAbsent(key, &visits);
+  }();
+  co_await ProbeCost(ctx, visits);
+  BIONICDB_CO_RETURN_NOT_OK(absent);
 
-  BIONICDB_CO_RETURN_NOT_OK(co_await LogWriteTimed(
+  BIONICDB_CO_RETURN_NOT_OK(co_await LogWrite(
       ctx, wal::RecordType::kInsert, table, key, record, Slice()));
-
-  if (UseOverlay()) {
-    table->overlay()->Put(key, record);
-    // Leaf insert + possible split work.
-    co_await CpuWork(ctx, platform_->cost().InstrNs(60), Component::kBtree);
-  } else if (table->compact()) {
-    Status st = table->BasePut(key, record);
-    if (!st.ok()) co_return st;
-    // Delta-map insert stands in for the leaf insert; no pool to install
-    // a fresh page into.
-    co_await CpuWork(ctx, platform_->cost().InstrNs(60), Component::kBtree);
-  } else {
-    Status st = table->BasePut(key, record);
-    if (!st.ok()) co_return st;
-    // A fresh fill page is materialized in the pool directly (like
-    // NewPage): inserts never cause a device read.
-    auto rid = table->LookupRid(key);
-    if (rid.ok()) (void)co_await bpool_->InstallLoaded(rid->page_id);
+  {
+    RowWriteGuard g = LockRowWrite(table);
+    BIONICDB_CO_RETURN_NOT_OK(table->Put(key, record));
+  }
+  if (table->paged()) {
+    if (!threaded_) {
+      // A fresh fill page is materialized in the pool directly (like
+      // NewPage): inserts never cause a device read.
+      auto rid = table->LookupRid(key);
+      if (rid.ok()) (void)co_await bpool_->InstallLoaded(rid->page_id);
+    }
     co_await CpuWork(ctx,
                      platform_->cost().BtreeNodeVisitNs(
                          config_.index_config.leaf_capacity, true),
                      Component::kBtree);
     co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
                      Component::kBpool);
+  } else {
+    // Leaf insert + possible split work (in compact mode the delta-map
+    // insert stands in for it; there is no pool to install a page into).
+    co_await CpuWork(ctx, platform_->cost().InstrNs(60), Component::kBtree);
   }
   co_await CpuWork(ctx, platform_->cost().TupleWriteNs(), Component::kOther);
   co_return Status::OK();
 }
 
 sim::Task<Status> Engine::Delete(ExecContext& ctx, Table* table, Slice key) {
-  if (threaded_) co_return TDelete(ctx, table, key);
   auto old = co_await ReadView(ctx, table, key);
   if (!old.ok()) co_return old.status();
 
-  // The view is consumed by LogWriteTimed before its first suspension.
-  BIONICDB_CO_RETURN_NOT_OK(co_await LogWriteTimed(
+  // The view is consumed by LogWrite before its first suspension.
+  BIONICDB_CO_RETURN_NOT_OK(co_await LogWrite(
       ctx, wal::RecordType::kDelete, table, key, Slice(), *old));
-
-  if (UseOverlay()) {
-    table->overlay()->Delete(key);
-  } else {
-    Status st = table->BaseDelete(key);
-    if (!st.ok()) co_return st;
-    if (!table->compact()) {
-      co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
-                       Component::kBpool);
-    }
+  {
+    ExclusiveGuard tg = WriteLock(table);
+    // A base delete never allocates a page (map lookup + slot tombstone),
+    // so it only reads the page map.
+    SharedGuard dg = table->paged() ? DiskReadLock() : SharedGuard();
+    BIONICDB_CO_RETURN_NOT_OK(table->Delete(key));
+  }
+  if (table->paged()) {
+    co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
+                     Component::kBpool);
   }
   co_await CpuWork(ctx, platform_->cost().TupleWriteNs(), Component::kOther);
   co_return Status::OK();
@@ -773,11 +788,13 @@ sim::Task<Status> Engine::Delete(ExecContext& ctx, Table* table, Slice key) {
 sim::Task<Result<std::string>> Engine::ProbeSecondary(
     ExecContext& ctx, Table* table, const std::string& index_name,
     Slice skey) {
-  if (threaded_) co_return TProbeSecondary(ctx, table, index_name, skey);
   index::BTree* idx = table->secondary(index_name);
   if (idx == nullptr) co_return Status::NotFound("no index " + index_name);
   int visits = 0;
-  auto r = idx->GetTraced(skey, &visits);
+  auto r = [&] {
+    SharedGuard tg = ReadLock(table);
+    return idx->GetTraced(skey, &visits);
+  }();
   co_await ProbeCost(ctx, visits, static_cast<uint32_t>(skey.size()));
   if (!r.ok()) co_return r.status();
   co_return std::move(r).value();
@@ -786,21 +803,28 @@ sim::Task<Result<std::string>> Engine::ProbeSecondary(
 sim::Task<Status> Engine::InsertSecondary(ExecContext& ctx, Table* table,
                                           const std::string& index_name,
                                           Slice skey, Slice pkey) {
-  if (threaded_) co_return TInsertSecondary(ctx, table, index_name, skey, pkey);
   index::BTree* idx = table->secondary(index_name);
   if (idx == nullptr) co_return Status::NotFound("no index " + index_name);
   int visits = 0;
-  (void)idx->GetTraced(skey, &visits);  // descend to the leaf
+  {
+    SharedGuard tg = ReadLock(table);
+    (void)idx->GetTraced(skey, &visits);  // descend to the leaf
+  }
   co_await ProbeCost(ctx, visits);
   // Upsert: a retried transaction may re-add the entry its aborted attempt
   // left behind; identical (skey -> pkey) mappings are harmless.
-  Status st = idx->Insert(skey, pkey, /*overwrite=*/true);
+  Status st;
+  {
+    ExclusiveGuard tg = WriteLock(table);
+    st = idx->Insert(skey, pkey, /*overwrite=*/true);
+  }
   if (st.ok() && ctx.xct != nullptr) {
     txn::UndoEntry undo;
     undo.type = wal::RecordType::kInsert;
     undo.table_id = table->id();
     undo.key = skey.ToString();
     undo.index_name = index_name;
+    std::unique_lock<std::mutex> xl = XctLock(ctx.xct);
     ctx.xct->undo_chain.push_back(std::move(undo));
   }
   co_await CpuWork(ctx, platform_->cost().InstrNs(40), Component::kBtree);
@@ -810,32 +834,33 @@ sim::Task<Status> Engine::InsertSecondary(ExecContext& ctx, Table* table,
 sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
 Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
                   size_t limit) {
-  if (threaded_) co_return TRangeRead(ctx, table, lo, hi, limit);
   // Functional result: base rows in [lo, hi) patched by the overlay.
   std::map<std::string, std::string> merged;
-  if (table->compact()) {
-    table->compact_store()->Scan(lo, hi, [&merged](Slice k, Slice rec) {
-      merged[k.ToString()] = rec.ToString();
-      return true;
-    });
-  } else {
-    for (auto it = table->primary().SeekRange(lo, hi); it.Valid();
-         it.Next()) {
-      auto rec = table->BaseGet(it.key());
-      if (rec.ok()) merged[it.key().ToString()] = std::move(*rec);
+  {
+    SharedGuard tg = ReadLock(table);
+    SharedGuard dg = DiskReadLock();
+    if (table->compact()) {
+      table->compact_store()->Scan(lo, hi, [&merged](Slice k, Slice rec) {
+        merged[k.ToString()] = rec.ToString();
+        return true;
+      });
+    } else {
+      for (auto it = table->primary().SeekRange(lo, hi); it.Valid();
+           it.Next()) {
+        auto rec = table->BaseGet(it.key());
+        if (rec.ok()) merged[it.key().ToString()] = std::move(*rec);
+      }
     }
-  }
-  size_t overlay_rows = 0;
-  if (table->overlay() != nullptr) {
-    const index::BTree& ov = table->overlay()->index();
-    for (auto it = ov.SeekRange(lo, hi); it.Valid(); it.Next()) {
-      ++overlay_rows;
-      Slice tagged = it.value();
-      if (tagged[0] == 'D') {
-        merged.erase(it.key().ToString());
-      } else {
-        Slice rec(tagged.data() + 1, tagged.size() - 1);
-        merged[it.key().ToString()] = rec.ToString();
+    if (table->overlay() != nullptr) {
+      const index::BTree& ov = table->overlay()->index();
+      for (auto it = ov.SeekRange(lo, hi); it.Valid(); it.Next()) {
+        Slice tagged = it.value();
+        if (tagged[0] == 'D') {
+          merged.erase(it.key().ToString());
+        } else {
+          Slice rec(tagged.data() + 1, tagged.size() - 1);
+          merged[it.key().ToString()] = rec.ToString();
+        }
       }
     }
   }
@@ -844,6 +869,7 @@ Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
     if (limit != 0 && rows.size() >= limit) break;
     rows.push_back(kv);
   }
+  if (threaded_) co_return rows;  // the rest only charges the scan's time
 
   // Timing: one probe to locate the start leaf, then per-row costs.
   int visits = table->probe_height();
@@ -892,15 +918,17 @@ sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
 Engine::RangeReadIndex(ExecContext& ctx, Table* table,
                        const std::string& index_name, Slice lo, Slice hi,
                        size_t limit) {
-  if (threaded_) co_return TRangeReadIndex(ctx, table, index_name, lo, hi,
-                                           limit);
   index::BTree* idx = table->secondary(index_name);
   if (idx == nullptr) co_return Status::NotFound("no index " + index_name);
   std::vector<std::pair<std::string, std::string>> rows;
-  for (auto it = idx->SeekRange(lo, hi); it.Valid(); it.Next()) {
-    if (limit != 0 && rows.size() >= limit) break;
-    rows.emplace_back(it.key().ToString(), it.value().ToString());
+  {
+    SharedGuard tg = ReadLock(table);
+    for (auto it = idx->SeekRange(lo, hi); it.Valid(); it.Next()) {
+      if (limit != 0 && rows.size() >= limit) break;
+      rows.emplace_back(it.key().ToString(), it.value().ToString());
+    }
   }
+  if (threaded_) co_return rows;  // the rest only charges the scan's time
   // One probe to the start leaf, then an entry walk.
   co_await ProbeCost(ctx, idx->height());
   if (UseHwProbe()) {
@@ -926,15 +954,20 @@ Engine::RangeReadIndex(ExecContext& ctx, Table* table,
 
 sim::Task<Result<uint64_t>> Engine::ScanCount(
     ExecContext& ctx, Table* table, const std::function<bool(Slice)>& pred) {
-  if (threaded_) co_return TScanCount(ctx, table, pred);
   // Functional answer over the live logical table.
-  auto rows = table->ScanAll();
+  std::vector<std::pair<std::string, std::string>> rows;
+  {
+    SharedGuard tg = ReadLock(table);
+    SharedGuard dg = DiskReadLock();
+    rows = table->ScanAll();
+  }
   uint64_t matches = 0;
   uint64_t bytes = 0;
   for (auto& [key, rec] : rows) {
     bytes += rec.size();
     if (pred(Slice(rec))) ++matches;
   }
+  if (threaded_) co_return matches;  // the rest only charges the scan's time
   const double selectivity =
       rows.empty() ? 0.0
                    : static_cast<double>(matches) /
@@ -982,7 +1015,7 @@ sim::Task<Result<uint64_t>> Engine::ScanCount(
 sim::Task<Result<Engine::ProjectionAggregate>> Engine::ScanProjection(
     ExecContext& ctx, Table* table, const std::string& projection_name,
     const std::function<bool(int64_t)>& pred) {
-  if (threaded_) co_return TScanProjection(ctx, table, projection_name, pred);
+  SharedGuard tg = ReadLock(table);
   const Table::Projection* proj = table->projection(projection_name);
   if (proj == nullptr) {
     co_return Status::NotFound("no projection " + projection_name);
@@ -1018,6 +1051,7 @@ sim::Task<Result<Engine::ProjectionAggregate>> Engine::ScanProjection(
       agg.sum += v;
     }
   }
+  if (threaded_) co_return agg;  // the rest only charges the scan's time
 
   // Timing: the column (8 bytes/row) streams through the scanner or the
   // host; aggregation ships only the result. Patching costs CPU per
@@ -1058,9 +1092,11 @@ sim::Task<Result<Engine::ProjectionAggregate>> Engine::ScanProjection(
 // ------------------------------------------------------------ maintenance --
 
 sim::Task<Status> Engine::BulkMerge(ExecContext& ctx, Table* table) {
-  if (threaded_) co_return TBulkMerge(ctx, table);
   Overlay* ov = table->overlay();
   if (ov == nullptr) co_return Status::NotSupported("table has no overlay");
+  // Base writes can allocate pages: the page map is written too.
+  ExclusiveGuard tg = WriteLock(table);
+  ExclusiveGuard dg = DiskWriteLock();
   auto delta = ov->TakeDirty();
   uint64_t bytes = 0;
   for (auto& [key, rec] : delta) {
@@ -1075,7 +1111,7 @@ sim::Task<Status> Engine::BulkMerge(ExecContext& ctx, Table* table) {
                            Component::kBpool);
   }
   // Sorted bulk write back to the data disk.
-  if (bytes > 0) {
+  if (bytes > 0 && !threaded_) {
     Status st = co_await data_disk_->AppendRaw(bytes);
     if (!st.ok()) co_return st;
   }
@@ -1085,7 +1121,7 @@ sim::Task<Status> Engine::BulkMerge(ExecContext& ctx, Table* table) {
 }
 
 sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
-  if (threaded_) co_return TCheckpoint(ctx);
+  // Quiescent by contract (no in-flight writers).
   // 1. Make base data reflect everything logged so far.
   for (uint32_t i = 0; i < db_->num_tables(); ++i) {
     Table* table = db_->GetTable(i);
@@ -1093,6 +1129,8 @@ sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
       BIONICDB_CO_RETURN_NOT_OK(co_await BulkMerge(ctx, table));
     }
   }
+  // Threads keep no buffer pool to flush (frames alias device pages).
+  if (threaded_) co_return ThreadedCheckpointRecord();
   if (!UseOverlay()) {
     BIONICDB_CO_RETURN_NOT_OK(co_await bpool_->FlushAll());
   }
@@ -1105,7 +1143,7 @@ sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
 }
 
 sim::Task<Status> Engine::ReorganizeIndex(ExecContext& ctx, Table* table) {
-  if (threaded_) co_return TReorganizeIndex(ctx, table);
+  ExclusiveGuard tg = WriteLock(table);
   if (table->compact()) {
     // The compact analogue: fold the delta back into the packed run.
     const size_t centries = table->compact_store()->Compact();
@@ -1138,39 +1176,8 @@ std::string Engine::QualifiedKey(const Table* table, Slice key) {
 void Engine::ApplyUndo(const txn::UndoEntry& entry) {
   Table* table = db_->GetTable(entry.table_id);
   BIONICDB_CHECK(table != nullptr);
-  if (!entry.index_name.empty()) {
-    // Secondary-index maintenance: remove the derived entry.
-    index::BTree* idx = table->secondary(entry.index_name);
-    BIONICDB_CHECK(idx != nullptr);
-    (void)idx->Delete(entry.key);
-    return;
-  }
-  if (UseOverlay()) {
-    Overlay* ov = table->overlay();
-    switch (entry.type) {
-      case wal::RecordType::kInsert:
-        ov->RemoveEntry(entry.key);
-        break;
-      case wal::RecordType::kUpdate:
-      case wal::RecordType::kDelete:
-        ov->Put(entry.key, entry.before);
-        break;
-      default:
-        BIONICDB_CHECK_MSG(false, "bad undo entry type");
-    }
-    return;
-  }
-  switch (entry.type) {
-    case wal::RecordType::kInsert:
-      BIONICDB_CHECK(table->BaseDelete(entry.key).ok());
-      break;
-    case wal::RecordType::kUpdate:
-    case wal::RecordType::kDelete:
-      BIONICDB_CHECK(table->BasePut(entry.key, entry.before).ok());
-      break;
-    default:
-      BIONICDB_CHECK_MSG(false, "bad undo entry type");
-  }
+  RowWriteGuard g = LockRowWrite(table);
+  table->ApplyUndo(entry);
 }
 
 sim::Task<void> Engine::ReleaseAllLocks(txn::Xct* xct) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -76,8 +77,10 @@ class Engine {
   const EngineConfig& config() const { return config_; }
 
   // --------------------------------------------------- row operations ----
-  // All are timed: they charge CPU cost-model work to the Figure-3
-  // components, occupy devices, and may await hardware units.
+  // On the simulator all are timed: they charge CPU cost-model work to the
+  // Figure-3 components, occupy devices, and may await hardware units. With
+  // a threaded backend attached the same coroutines run untimed (see
+  // AttachThreadedBackend).
   sim::Task<Result<std::string>> Read(ExecContext& ctx, Table* table,
                                       Slice key);
 
@@ -335,35 +338,113 @@ class Engine {
 
   // ------------------------------------------------- threaded backend ----
   /// Attaches (or detaches, with nullptr) the real-thread execution
-  /// backend. While attached, every row/scan operation takes its threaded
-  /// path: pure functional work guarded by per-table reader/writer locks,
-  /// no virtual-time cost charges, logging through the backend's
-  /// ThreadedWal. Call after tables are created and loaded; normally done
-  /// by exec::ThreadedBackend::Start()/Shutdown(). See docs/EXECUTION.md.
+  /// backend. While attached, every row/scan operation runs on the threaded
+  /// substrate: the same functional core under per-table reader/writer
+  /// locks, no virtual-time cost charges or device waits, logging through
+  /// the backend's ThreadedWal. Call after tables are created and loaded;
+  /// normally done by exec::ThreadedBackend::Start()/Shutdown(). See
+  /// docs/EXECUTION.md.
   void AttachThreadedBackend(exec::ThreadedBackend* backend);
   bool threaded() const { return threaded_ != nullptr; }
   exec::ThreadedBackend* threaded_backend() { return threaded_; }
 
  private:
   friend class exec::ThreadedBackend;
+  // ---- substrate hooks ----------------------------------------------------
+  // Every op is one coroutine for both substrates. On the simulator the
+  // cost helpers and device waits suspend and the guards below are empty.
+  // On threads (threaded_ set) nothing suspends: the cost helpers return at
+  // once, device waits (buffer pool, disk, PCIe, scanner) are skipped, and
+  // the guards take the real locks. A guard may therefore span a co_await.
+  // Table guards are never held across a log append or another table's
+  // guard, and never taken while the disk guard is held.
+  using SharedGuard = std::shared_lock<std::shared_mutex>;
+  using ExclusiveGuard = std::unique_lock<std::shared_mutex>;
+  /// Guard on a table's physical structures (B+Trees, overlay arena, page
+  /// contents).
+  SharedGuard ReadLock(const Table* table) {
+    return threaded_ ? SharedGuard(TableMutex(table)) : SharedGuard();
+  }
+  ExclusiveGuard WriteLock(const Table* table) {
+    return threaded_ ? ExclusiveGuard(TableMutex(table)) : ExclusiveGuard();
+  }
+  /// Guard on the SimDisk page map (see disk_mu_).
+  SharedGuard DiskReadLock() {
+    return threaded_ ? SharedGuard(disk_mu_) : SharedGuard();
+  }
+  ExclusiveGuard DiskWriteLock() {
+    return threaded_ ? ExclusiveGuard(disk_mu_) : ExclusiveGuard();
+  }
+  /// Guards for a row write: the table, plus the page map when the row
+  /// lives in base storage (a relocating BasePut allocates a page).
+  struct RowWriteGuard {
+    ExclusiveGuard table;
+    ExclusiveGuard disk;
+  };
+  RowWriteGuard LockRowWrite(const Table* table) {
+    RowWriteGuard g;
+    if (threaded_) {
+      g.table = ExclusiveGuard(TableMutex(table));
+      if (!table->rows_in_overlay()) g.disk = ExclusiveGuard(disk_mu_);
+    }
+    return g;
+  }
+  /// Guard on a transaction's log and undo state, which its concurrently
+  /// running actions share on threads.
+  std::unique_lock<std::mutex> XctLock(txn::Xct* xct) {
+    return threaded_ ? std::unique_lock<std::mutex>(xct->mu)
+                     : std::unique_lock<std::mutex>();
+  }
+  /// The view an op returns. On threads other threads may move the bytes
+  /// once the table guard drops, so it is copied to a per-thread scratch
+  /// ring (call under the guard); on the simulator it is returned as is.
+  Slice StableView(Slice v) { return threaded_ ? ScratchCopy(v) : v; }
+
+  // Threads-only substrate (engine_threaded.cc).
+  std::shared_mutex& TableMutex(const Table* table);
+  static Slice ScratchCopy(Slice v);
+  /// Log append on the ThreadedWal: begin record on first write, the
+  /// record itself, and the undo entry.
+  Status ThreadedLogWrite(txn::Xct* xct, wal::RecordType type,
+                          uint32_t table_id, Slice key, Slice redo,
+                          Slice undo);
+  /// Durable kCheckpoint record on the ThreadedWal.
+  Status ThreadedCheckpointRecord();
+
   // ---- cost helpers -------------------------------------------------------
+  // On threads (and for zero cost) each returns an empty task, complete as
+  // soon as it is awaited, so the hot path builds no coroutine frame for
+  // it; the simulator runs the timed coroutine (the Sim* twin).
   /// Executes `ns` of CPU work charged to component `c`. Attaches a core
   /// unless the context already holds one.
-  sim::Task<void> CpuWork(ExecContext& ctx, double ns, hw::Component c);
+  sim::Task<void> CpuWork(ExecContext& ctx, double ns, hw::Component c) {
+    if (threaded_ || static_cast<SimTime>(ns) <= 0) return {};
+    return SimCpuWork(ctx, static_cast<SimTime>(ns), c);
+  }
   /// Charges CPU energy + breakdown without occupying a core (front-end /
   /// driver-side work).
-  sim::Task<void> CpuWorkNoCore(double ns, hw::Component c);
+  sim::Task<void> CpuWorkNoCore(double ns, hw::Component c) {
+    if (threaded_ || static_cast<SimTime>(ns) <= 0) return {};
+    return SimCpuWorkNoCore(static_cast<SimTime>(ns), c);
+  }
 
   /// Index probe timing for `levels` node visits (software cost model or
   /// hardware probe engine round trip). `key_bytes` sizes the comparator
   /// work for variable-length keys.
   sim::Task<void> ProbeCost(ExecContext& ctx, int levels,
-                            uint32_t key_bytes = 8);
+                            uint32_t key_bytes = 8) {
+    if (threaded_) return {};
+    return SimProbeCost(ctx, levels, key_bytes);
+  }
+  sim::Task<void> SimCpuWork(ExecContext& ctx, SimTime t, hw::Component c);
+  sim::Task<void> SimCpuWorkNoCore(SimTime t, hw::Component c);
+  sim::Task<void> SimProbeCost(ExecContext& ctx, int levels,
+                               uint32_t key_bytes);
 
-  /// Append to the WAL, charging elapsed time to the Log component.
-  sim::Task<Status> LogWriteTimed(ExecContext& ctx, wal::RecordType type,
-                                  Table* table, Slice key, Slice redo,
-                                  Slice undo);
+  /// Append to the WAL (and the undo chain), charging elapsed time to the
+  /// Log component on the simulator.
+  sim::Task<Status> LogWrite(ExecContext& ctx, wal::RecordType type,
+                             Table* table, Slice key, Slice redo, Slice undo);
 
   sim::Task<void> MultiReadOne(ExecContext ctx, Table* table, std::string key,
                                Result<std::string>* out, int* remaining,
@@ -373,11 +454,12 @@ class Engine {
   /// base -> install -> retry). Returns a view into the overlay leaf arena.
   sim::Task<Result<Slice>> ReadOverlayView(ExecContext& ctx, Table* table,
                                            Slice key);
-  /// Buffer-pool read. Returns a view into the row's slotted page.
+  /// Base-storage read (buffer-pooled page, or compact slab). Returns a
+  /// view into the row's slotted page or slab entry.
   sim::Task<Result<Slice>> ReadPagedView(ExecContext& ctx, Table* table,
                                          Slice key);
 
-  /// Functional rollback of one undo entry.
+  /// Rolls back one undo entry (Table::ApplyUndo under the row guards).
   void ApplyUndo(const txn::UndoEntry& entry);
 
   /// Abort helper shared by both execution paths.
@@ -390,47 +472,6 @@ class Engine {
   sim::Task<Status> RunAllPhases(TxnSpec& spec, ExecContext& ctx);
 
   static std::string QualifiedKey(const Table* table, Slice key);
-
-  // ---- threaded-backend operation paths (engine_threaded.cc) ------------
-  // Functional mirrors of the simulated ops above: same probe/uniqueness/
-  // miss-install/undo semantics, none of the cost charging. Plain functions
-  // (no suspension), so the coroutine wrappers complete synchronously on
-  // the partition agent thread that resumes them. Physical structures are
-  // guarded by per-table reader/writer locks; logical row conflicts are
-  // excluded by the partition-local locks (or the conventional-mode global
-  // mutex) exactly as in the simulator.
-  std::shared_mutex& TableMutex(const Table* table);
-  Slice TScratchCopy(Slice v);
-  Status TLogWrite(txn::Xct* xct, wal::RecordType type, uint32_t table_id,
-                   Slice key, Slice redo, Slice undo);
-  void TApplyUndo(const txn::UndoEntry& entry);
-  Result<Slice> TReadView(ExecContext& ctx, Table* table, Slice key);
-  Result<std::string> TRead(ExecContext& ctx, Table* table, Slice key);
-  std::vector<Result<std::string>> TMultiRead(
-      ExecContext& ctx, Table* table, const std::vector<std::string>& keys);
-  Status TUpdate(ExecContext& ctx, Table* table, Slice key, Slice record,
-                 const Slice* known_old);
-  Status TInsert(ExecContext& ctx, Table* table, Slice key, Slice record);
-  Status TDelete(ExecContext& ctx, Table* table, Slice key);
-  Result<std::string> TProbeSecondary(ExecContext& ctx, Table* table,
-                                      const std::string& index_name,
-                                      Slice skey);
-  Status TInsertSecondary(ExecContext& ctx, Table* table,
-                          const std::string& index_name, Slice skey,
-                          Slice pkey);
-  Result<std::vector<std::pair<std::string, std::string>>> TRangeRead(
-      ExecContext& ctx, Table* table, Slice lo, Slice hi, size_t limit);
-  Result<std::vector<std::pair<std::string, std::string>>> TRangeReadIndex(
-      ExecContext& ctx, Table* table, const std::string& index_name, Slice lo,
-      Slice hi, size_t limit);
-  Result<uint64_t> TScanCount(ExecContext& ctx, Table* table,
-                              const std::function<bool(Slice)>& pred);
-  Result<ProjectionAggregate> TScanProjection(
-      ExecContext& ctx, Table* table, const std::string& projection_name,
-      const std::function<bool(int64_t)>& pred);
-  Status TBulkMerge(ExecContext& ctx, Table* table);
-  Status TCheckpoint(ExecContext& ctx);
-  Status TReorganizeIndex(ExecContext& ctx, Table* table);
 
   /// Binds every RunMetrics field, breakdown component, WAL/fault counter,
   /// and platform gauge into registry_ (construction time, once).
@@ -469,10 +510,10 @@ class Engine {
   std::unique_ptr<AdmissionQueue<AdmittedTxn>> admission_;
 
   /// Real-thread backend, when attached (never set on simulator runs; the
-  /// sim paths' `threaded_` branch is always false there, keeping simulated
+  /// ops' `threaded_` branches are always false there, keeping simulated
   /// results bit-identical).
   exec::ThreadedBackend* threaded_ = nullptr;
-  /// Per-table reader/writer locks for the threaded paths, indexed by
+  /// Per-table reader/writer locks for the threaded substrate, indexed by
   /// table id. Sized in AttachThreadedBackend.
   std::vector<std::unique_ptr<std::shared_mutex>> table_mu_;
   /// Engine-wide lock for the SimDisk page MAP, which every paged table

@@ -1,12 +1,8 @@
-// Threaded-backend operation paths: functional mirrors of the simulated
-// ops in engine.cc, executed synchronously on real partition agent threads.
-//
-// Contract with engine.cc (pinned by tests/exec_backend_test.cc): for every
-// operation, the functional outcome — status code, returned bytes, table
-// mutation, undo entry — must match the simulated path on the same input
-// state. Only the timing layer (cost charges, simulated device/HW awaits,
-// virtual clocks) is dropped. When editing an op in engine.cc, mirror the
-// functional part here.
+// The threaded substrate of the engine ops: what differs when an op runs on
+// a real partition agent thread instead of in the simulator. The ops
+// themselves are written once, in engine.cc; here are only the pieces they
+// branch to when `threaded_` is set — attach, the table mutexes, the
+// scratch copy of returned views, and the appends on the ThreadedWal.
 //
 // Locking: per-table std::shared_mutex guards the physical structures
 // (B+Tree nodes, overlay arena, pages) — point reads take it shared, any
@@ -19,8 +15,6 @@
 // (see engine.h) and always taken inside the table-lock scope.
 
 #include <array>
-#include <map>
-#include <optional>
 #include <string>
 
 #include "engine/engine.h"
@@ -48,13 +42,12 @@ std::shared_mutex& Engine::TableMutex(const Table* table) {
   return *table_mu_[table->id()];
 }
 
-/// Views returned by TReadView alias engine-owned memory that other
-/// threads may move (B+Tree splits, overlay arena growth on *other* keys),
-/// so the bytes are copied out under the table lock into a per-thread
-/// rotating scratch ring. A slot lives until the same thread's 8th next
-/// view — far beyond the "decode before the next engine call" contract the
-/// sim path already imposes.
-Slice Engine::TScratchCopy(Slice v) {
+/// Views alias engine-owned memory that other threads may move (B+Tree
+/// splits, overlay arena growth on *other* keys), so the bytes are copied
+/// out under the table lock into a per-thread rotating scratch ring. A slot
+/// lives until the same thread's 8th next view — far beyond the "decode
+/// before the next engine call" contract the simulator already imposes.
+Slice Engine::ScratchCopy(Slice v) {
   static thread_local std::array<std::string, 8> scratch;
   static thread_local size_t next = 0;
   std::string& slot = scratch[next++ & 7];
@@ -62,9 +55,9 @@ Slice Engine::TScratchCopy(Slice v) {
   return Slice(slot);
 }
 
-Status Engine::TLogWrite(txn::Xct* xct, wal::RecordType type,
-                         uint32_t table_id, Slice key, Slice redo,
-                         Slice undo) {
+Status Engine::ThreadedLogWrite(txn::Xct* xct, wal::RecordType type,
+                                uint32_t table_id, Slice key, Slice redo,
+                                Slice undo) {
   exec::ThreadedWal& wal = threaded_->wal();
   // Per-transaction log state (last_lsn chain, begin record, undo chain)
   // is shared by the transaction's concurrently running actions.
@@ -96,315 +89,13 @@ Status Engine::TLogWrite(txn::Xct* xct, wal::RecordType type,
   return Status::OK();
 }
 
-void Engine::TApplyUndo(const txn::UndoEntry& entry) {
-  Table* table = db_->GetTable(entry.table_id);
-  BIONICDB_CHECK(table != nullptr);
-  std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-  // Undo can BasePut/BaseDelete base data (page-map lookups, possible
-  // page allocation on a paged table), so it writes under the disk lock.
-  std::unique_lock<std::shared_mutex> dl(disk_mu_);
-  ApplyUndo(entry);
-}
-
-Result<Slice> Engine::TReadView(ExecContext& ctx, Table* table, Slice key) {
-  if (UseOverlay()) {
-    Overlay* ov = table->overlay();
-    BIONICDB_CHECK(ov != nullptr);
-    {
-      std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-      auto view = ov->GetView(key);
-      if (view.ok()) return TScratchCopy(*view);
-      if (view.status().IsNotFound()) return view.status();  // tombstone
-      BIONICDB_CHECK(view.status().IsOutOfMemory());
-    }
-    // Miss: fetch from base and install (§5.6's abort-retry protocol,
-    // collapsed to its functional core). InstallClean mutates the overlay,
-    // so this leg is exclusive.
-    std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-    for (;;) {
-      auto view = ov->GetView(key);
-      if (view.ok()) return TScratchCopy(*view);
-      if (view.status().IsNotFound()) return view.status();
-      auto rec = [&] {
-        std::shared_lock<std::shared_mutex> dl(disk_mu_);
-        return table->BaseGet(key);
-      }();
-      if (!rec.ok()) return rec.status();  // genuinely absent
-      ov->InstallClean(key, Slice(*rec));
-      // Tiny capacity-limited overlays can evict the fresh entry
-      // immediately; loop like the simulated path does.
-    }
-  }
-  std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-  std::shared_lock<std::shared_mutex> dl(disk_mu_);
-  auto rec = table->BaseGetView(key);
-  if (!rec.ok()) return rec.status();
-  return TScratchCopy(*rec);
-}
-
-Result<std::string> Engine::TRead(ExecContext& ctx, Table* table, Slice key) {
-  auto r = TReadView(ctx, table, key);
-  if (!r.ok()) return r.status();
-  return r->ToString();
-}
-
-std::vector<Result<std::string>> Engine::TMultiRead(
-    ExecContext& ctx, Table* table, const std::vector<std::string>& keys) {
-  // The hw path's concurrent probes are a timing artifact; results are
-  // positionally aligned either way.
-  std::vector<Result<std::string>> out;
-  out.reserve(keys.size());
-  for (const std::string& key : keys) {
-    out.push_back(TRead(ctx, table, key));
-  }
-  return out;
-}
-
-Status Engine::TUpdate(ExecContext& ctx, Table* table, Slice key,
-                       Slice record, const Slice* known_old) {
-  // Log-then-apply, exactly like the simulated path. The before-image read
-  // and the apply are not atomic together, but same-key writers are
-  // excluded by the row lock the caller already holds.
-  if (known_old != nullptr) {
-    Status st = TLogWrite(ctx.xct, wal::RecordType::kUpdate, table->id(), key,
-                          record, *known_old);
-    if (!st.ok()) return st;
-  } else {
-    auto old = TReadView(ctx, table, key);
-    if (!old.ok()) return old.status();
-    Status st = TLogWrite(ctx.xct, wal::RecordType::kUpdate, table->id(), key,
-                          record, *old);
-    if (!st.ok()) return st;
-  }
-  std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-  if (UseOverlay()) {
-    table->overlay()->Put(key, record);
-  } else {
-    // The simulated path updates the page slot in place and falls back to
-    // BasePut on overflow; BasePut subsumes both functionally.
-    std::unique_lock<std::shared_mutex> dl(disk_mu_);
-    Status st = table->BasePut(key, record);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-Status Engine::TInsert(ExecContext& ctx, Table* table, Slice key,
-                       Slice record) {
-  {
-    std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-    if (UseOverlay()) {
-      Status existing = table->overlay()->GetView(key).status();
-      if (existing.ok()) return Status::AlreadyExists("key exists");
-      if (existing.IsOutOfMemory() && table->LookupRid(key).ok()) {
-        return Status::AlreadyExists("key exists in base data");
-      }
-    } else {
-      if (table->primary().GetView(key).ok()) {
-        return Status::AlreadyExists("key exists");
-      }
-    }
-  }
-  Status st = TLogWrite(ctx.xct, wal::RecordType::kInsert, table->id(), key,
-                        record, Slice());
-  if (!st.ok()) return st;
-  std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-  if (UseOverlay()) {
-    table->overlay()->Put(key, record);
-  } else {
-    std::unique_lock<std::shared_mutex> dl(disk_mu_);
-    st = table->BasePut(key, record);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-Status Engine::TDelete(ExecContext& ctx, Table* table, Slice key) {
-  auto old = TReadView(ctx, table, key);
-  if (!old.ok()) return old.status();
-  Status st = TLogWrite(ctx.xct, wal::RecordType::kDelete, table->id(), key,
-                        Slice(), *old);
-  if (!st.ok()) return st;
-  std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-  if (UseOverlay()) {
-    table->overlay()->Delete(key);
-  } else {
-    // Delete never allocates a page (map lookup + slot tombstone), so a
-    // shared disk lock suffices; the slot bytes are table-lock-guarded.
-    std::shared_lock<std::shared_mutex> dl(disk_mu_);
-    st = table->BaseDelete(key);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-Result<std::string> Engine::TProbeSecondary(ExecContext& ctx, Table* table,
-                                            const std::string& index_name,
-                                            Slice skey) {
-  std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-  index::BTree* idx = table->secondary(index_name);
-  if (idx == nullptr) return Status::NotFound("no index " + index_name);
-  return idx->Get(skey);
-}
-
-Status Engine::TInsertSecondary(ExecContext& ctx, Table* table,
-                                const std::string& index_name, Slice skey,
-                                Slice pkey) {
-  Status st;
-  {
-    std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-    index::BTree* idx = table->secondary(index_name);
-    if (idx == nullptr) return Status::NotFound("no index " + index_name);
-    st = idx->Insert(skey, pkey, /*overwrite=*/true);
-  }
-  if (st.ok() && ctx.xct != nullptr) {
-    txn::UndoEntry undo;
-    undo.type = wal::RecordType::kInsert;
-    undo.table_id = table->id();
-    undo.key = skey.ToString();
-    undo.index_name = index_name;
-    std::lock_guard<std::mutex> lk(ctx.xct->mu);
-    ctx.xct->undo_chain.push_back(std::move(undo));
-  }
-  return st;
-}
-
-Result<std::vector<std::pair<std::string, std::string>>> Engine::TRangeRead(
-    ExecContext& ctx, Table* table, Slice lo, Slice hi, size_t limit) {
-  std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-  // Same merge as the simulated path: base rows patched by the overlay.
-  std::map<std::string, std::string> merged;
-  {
-    std::shared_lock<std::shared_mutex> dl(disk_mu_);
-    for (auto it = table->primary().SeekRange(lo, hi); it.Valid();
-         it.Next()) {
-      auto rec = table->BaseGet(it.key());
-      if (rec.ok()) merged[it.key().ToString()] = std::move(*rec);
-    }
-  }
-  if (table->overlay() != nullptr) {
-    const index::BTree& ov = table->overlay()->index();
-    for (auto it = ov.SeekRange(lo, hi); it.Valid(); it.Next()) {
-      Slice tagged = it.value();
-      if (tagged[0] == 'D') {
-        merged.erase(it.key().ToString());
-      } else {
-        Slice rec(tagged.data() + 1, tagged.size() - 1);
-        merged[it.key().ToString()] = rec.ToString();
-      }
-    }
-  }
-  std::vector<std::pair<std::string, std::string>> rows;
-  for (auto& kv : merged) {
-    if (limit != 0 && rows.size() >= limit) break;
-    rows.push_back(kv);
-  }
-  return rows;
-}
-
-Result<std::vector<std::pair<std::string, std::string>>>
-Engine::TRangeReadIndex(ExecContext& ctx, Table* table,
-                        const std::string& index_name, Slice lo, Slice hi,
-                        size_t limit) {
-  std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-  index::BTree* idx = table->secondary(index_name);
-  if (idx == nullptr) return Status::NotFound("no index " + index_name);
-  std::vector<std::pair<std::string, std::string>> rows;
-  for (auto it = idx->SeekRange(lo, hi); it.Valid(); it.Next()) {
-    if (limit != 0 && rows.size() >= limit) break;
-    rows.emplace_back(it.key().ToString(), it.value().ToString());
-  }
-  return rows;
-}
-
-Result<uint64_t> Engine::TScanCount(ExecContext& ctx, Table* table,
-                                    const std::function<bool(Slice)>& pred) {
-  std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-  std::shared_lock<std::shared_mutex> dl(disk_mu_);
-  auto rows = table->ScanAll();
-  uint64_t matches = 0;
-  for (auto& [key, rec] : rows) {
-    if (pred(Slice(rec))) ++matches;
-  }
-  return matches;
-}
-
-Result<Engine::ProjectionAggregate> Engine::TScanProjection(
-    ExecContext& ctx, Table* table, const std::string& projection_name,
-    const std::function<bool(int64_t)>& pred) {
-  std::shared_lock<std::shared_mutex> rl(TableMutex(table));
-  const Table::Projection* proj = table->projection(projection_name);
-  if (proj == nullptr) {
-    return Status::NotFound("no projection " + projection_name);
-  }
-  ProjectionAggregate agg;
-  std::map<std::string, std::optional<std::string>> delta;
-  if (table->overlay() != nullptr) {
-    for (auto& [k, rec] : table->overlay()->DirtySnapshot()) delta[k] = rec;
-  }
-  for (size_t i = 0; i < proj->keys.size(); ++i) {
-    int64_t v = proj->values[i];
-    auto it = delta.find(proj->keys[i]);
-    if (it != delta.end()) {
-      if (!it->second.has_value()) continue;  // deleted since the merge
-      v = proj->extractor(Slice(*it->second));
-      delta.erase(it);
-    }
-    if (!pred || pred(v)) {
-      ++agg.matches;
-      agg.sum += v;
-    }
-  }
-  for (auto& [k, rec] : delta) {
-    if (!rec.has_value()) continue;
-    const int64_t v = proj->extractor(Slice(*rec));
-    if (!pred || pred(v)) {
-      ++agg.matches;
-      agg.sum += v;
-    }
-  }
-  return agg;
-}
-
-Status Engine::TBulkMerge(ExecContext& ctx, Table* table) {
-  std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-  Overlay* ov = table->overlay();
-  if (ov == nullptr) return Status::NotSupported("table has no overlay");
-  std::unique_lock<std::shared_mutex> dl(disk_mu_);
-  auto delta = ov->TakeDirty();
-  for (auto& [key, rec] : delta) {
-    if (rec.has_value()) {
-      Status st = table->BasePut(key, *rec);
-      if (!st.ok()) return st;
-    } else {
-      Status st = table->BaseDelete(key);
-      if (!st.ok() && !st.IsNotFound()) return st;
-    }
-  }
-  table->RefreshProjections();
-  return Status::OK();
-}
-
-Status Engine::TCheckpoint(ExecContext& ctx) {
-  // Quiescent by contract (no in-flight writers), as on the sim path.
-  for (uint32_t i = 0; i < db_->num_tables(); ++i) {
-    Table* table = db_->GetTable(i);
-    if (table->overlay() != nullptr) {
-      Status st = TBulkMerge(ctx, table);
-      if (!st.ok()) return st;
-    }
-  }
+Status Engine::ThreadedCheckpointRecord() {
   exec::ThreadedWal& wal = threaded_->wal();
   wal::LogRecord rec;
   rec.type = wal::RecordType::kCheckpoint;
   rec.prev_lsn = wal.current_lsn();
   const wal::Lsn lsn = wal.Append(rec);
   return wal.WaitDurable(lsn + 1);
-}
-
-Status Engine::TReorganizeIndex(ExecContext& ctx, Table* table) {
-  std::unique_lock<std::shared_mutex> wl(TableMutex(table));
-  return table->primary().Rebuild();
 }
 
 }  // namespace bionicdb::engine

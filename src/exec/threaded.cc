@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <deque>
 
+#include "common/backoff.h"
 #include "common/hash.h"
 #include "common/random.h"
 
@@ -231,7 +232,7 @@ void ThreadedBackend::AbortTxn(txn::Xct* xct) {
   // every key it wrote, so the undo writes cannot race other transactions.
   for (auto it = xct->undo_chain.rbegin(); it != xct->undo_chain.rend();
        ++it) {
-    engine_->TApplyUndo(*it);
+    engine_->ApplyUndo(*it);
     wal::LogRecord clr;
     clr.type = wal::RecordType::kClr;
     clr.txn_id = xct->id;
@@ -355,6 +356,22 @@ Status ThreadedBackend::Execute(engine::Engine::TxnSpec spec,
   return st;
 }
 
+Status ThreadedBackend::ExecuteWithRetries(const engine::Engine::TxnSpec& spec,
+                                           int max_retries,
+                                           uint64_t backoff_ns, Rng* rng,
+                                           uint64_t* aborted_attempts) {
+  Status st;
+  uint64_t priority = 0;  // pinned across retries so the txn ages
+  for (int n = 0; n <= max_retries; ++n) {
+    st = Execute(spec, &priority);
+    if (!st.IsAborted()) break;
+    if (aborted_attempts != nullptr) ++*aborted_attempts;
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(RetryBackoffNs(backoff_ns, n, *rng)));
+  }
+  return st;
+}
+
 ThreadedBackend::RunReport ThreadedBackend::RunClosedLoop(
     const std::function<engine::Engine::TxnSpec()>& next,
     const RunOptions& options) {
@@ -373,8 +390,9 @@ ThreadedBackend::RunReport ThreadedBackend::RunClosedLoop(
     const uint64_t n = static_cast<uint64_t>(options.clients);
     for (uint64_t c = 0; c < n; ++c) {
       const uint64_t share = total / n + (c < total % n ? 1 : 0);
-      clients.emplace_back([&, share] {
+      clients.emplace_back([&, c, share] {
         WaveResult local;
+        Rng rng(c + 1);  // backoff jitter, one stream per client
         for (uint64_t i = 0; i < share; ++i) {
           engine::Engine::TxnSpec spec;
           {
@@ -383,18 +401,10 @@ ThreadedBackend::RunReport ThreadedBackend::RunClosedLoop(
             spec = next();
           }
           const auto t0 = std::chrono::steady_clock::now();
-          Status st;
-          uint64_t priority = 0;  // pinned across retries so the txn ages
-          for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
-            engine::Engine::TxnSpec copy = spec;
-            st = Execute(std::move(copy), &priority);
-            if (!st.IsAborted()) break;
-            ++local.aborted_attempts;
-            // Linear backoff, as in workload::RunClosedLoop.
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                options.retry_backoff_ns *
-                static_cast<uint64_t>(attempt + 1)));
-          }
+          const Status st =
+              ExecuteWithRetries(spec, options.max_retries,
+                                 options.retry_backoff_ns, &rng,
+                                 &local.aborted_attempts);
           if (st.ok()) ++local.committed;
           local.latency.Add(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                 std::chrono::steady_clock::now() - t0)
@@ -514,8 +524,10 @@ ThreadedBackend::OpenLoopReport ThreadedBackend::RunOpenLoop(
   std::mutex report_mu;
   std::vector<std::thread> servers;
   for (int s = 0; s < options.servers; ++s) {
-    servers.emplace_back([&] {
+    servers.emplace_back([&, s] {
       Local local;
+      // Backoff jitter, one stream per server, apart from the arrivals'.
+      Rng rng(options.seed + static_cast<uint64_t>(s) + 1);
       for (;;) {
         Queued item;
         {
@@ -525,15 +537,10 @@ ThreadedBackend::OpenLoopReport ThreadedBackend::RunOpenLoop(
           item = std::move(sh.q.front());
           sh.q.pop_front();
         }
-        Status st;
-        uint64_t priority = 0;  // pinned across retries so the txn ages
-        for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
-          engine::Engine::TxnSpec copy = item.spec;
-          st = Execute(std::move(copy), &priority);
-          if (!st.IsAborted()) break;
-          std::this_thread::sleep_for(std::chrono::nanoseconds(
-              options.retry_backoff_ns * static_cast<uint64_t>(attempt + 1)));
-        }
+        const Status st =
+            ExecuteWithRetries(item.spec, options.max_retries,
+                               options.retry_backoff_ns, &rng,
+                               /*aborted_attempts=*/nullptr);
         if (item.enqueue >= warmup_end) {
           ++local.completed;
           if (st.ok()) ++local.committed;

@@ -15,6 +15,7 @@
 
 #include "common/histogram.h"
 #include "common/macros.h"
+#include "common/random.h"
 #include "common/status.h"
 #include "dora/action.h"
 #include "dora/partition.h"
@@ -227,6 +228,15 @@ class ThreadedBackend {
 
   void AgentLoop(uint32_t pid);
   void HandleAction(dora::Partition& part, dora::Action* action);
+
+  /// Runs `spec` to a final status on the calling thread: a wait-die abort
+  /// re-executes it up to `max_retries` times with its priority pinned (so
+  /// it ages), sleeping RetryBackoffNs(backoff_ns, attempt, *rng) between
+  /// attempts. Adds the aborted executions to `*aborted_attempts` unless
+  /// it is null. Both wall-clock drivers retry through here.
+  Status ExecuteWithRetries(const engine::Engine::TxnSpec& spec,
+                            int max_retries, uint64_t backoff_ns, Rng* rng,
+                            uint64_t* aborted_attempts);
 
   Status RunAllPhases(engine::Engine::TxnSpec& spec,
                       engine::Engine::ExecContext& ctx);

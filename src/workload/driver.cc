@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/backoff.h"
 #include "sim/sync.h"
 #include "workload/sharded_driver.h"
 
@@ -19,10 +20,8 @@ namespace {
 
 /// Runs one transaction to a final status. A wait-die abort re-executes it
 /// up to config.max_retries times with its priority pinned across attempts
-/// (so the transaction ages) and a linear backoff plus deterministic
-/// jitter in between: correlated retry storms of similarly-aged
-/// transactions otherwise keep colliding. Zero backoff means an immediate
-/// retry with no jitter draw (Uniform(0) is a contract violation).
+/// (so the transaction ages) and a RetryBackoffNs wait in between, its
+/// jitter drawn from the simulator's RNG (deterministic).
 /// `attempt(&priority)` runs one execution; `on_retry()` fires before each
 /// re-execution's backoff. Every sim driver retries through here.
 template <typename AttemptFn, typename OnRetryFn>
@@ -35,12 +34,9 @@ sim::Task<Status> ExecuteWithRetries(sim::Simulator* sim,
     st = co_await attempt(&priority);
     if (!st.IsAborted()) break;
     on_retry();
-    SimTime jitter = 0;
-    if (config.retry_backoff_ns > 0) {
-      jitter = static_cast<SimTime>(
-          sim->rng().Uniform(static_cast<uint64_t>(config.retry_backoff_ns)));
-    }
-    co_await sim::Delay{sim, config.retry_backoff_ns * (n + 1) + jitter};
+    co_await sim::Delay{sim, static_cast<SimTime>(RetryBackoffNs(
+                                 static_cast<uint64_t>(config.retry_backoff_ns),
+                                 n, sim->rng()))};
   }
   co_return st;
 }

@@ -2,12 +2,14 @@
 // CRC32C.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -164,6 +166,39 @@ TEST(RngTest, UniformRangeInclusive) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);  // all 5 values should appear in 1000 draws
+}
+
+// ------------------------------------------------------------ backoff --
+
+TEST(RetryBackoffTest, LinearStepPlusJitterBelowOneStep) {
+  Rng rng(7);
+  constexpr uint64_t kBase = 1000;
+  for (int n = 0; n < 6; ++n) {
+    const uint64_t floor = kBase * static_cast<uint64_t>(n + 1);
+    uint64_t lo = UINT64_MAX, hi = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t b = RetryBackoffNs(kBase, n, rng);
+      lo = std::min(lo, b);
+      hi = std::max(hi, b);
+    }
+    EXPECT_GE(lo, floor) << "attempt " << n;
+    EXPECT_LT(hi, floor + kBase) << "attempt " << n;
+    EXPECT_GT(hi, lo) << "attempt " << n << ": no jitter";
+  }
+}
+
+TEST(RetryBackoffTest, OneDrawPerBackoff) {
+  Rng a(11), b(11);
+  (void)RetryBackoffNs(500, 3, a);
+  (void)b.Next();
+  EXPECT_EQ(a.state(), b.state());
+}
+
+TEST(RetryBackoffTest, ZeroBaseRetriesAtOnceWithoutADraw) {
+  Rng rng(3);
+  const uint64_t before = rng.state();
+  for (int n = 0; n < 4; ++n) EXPECT_EQ(RetryBackoffNs(0, n, rng), 0u);
+  EXPECT_EQ(rng.state(), before);
 }
 
 TEST(RngTest, NextDoubleInUnitInterval) {
