@@ -24,6 +24,7 @@
 #include "index/codec.h"
 #include "sim/sim_queue.h"
 #include "sim/simulator.h"
+#include "storage/compact.h"
 #include "workload/driver.h"
 #include "workload/tatp.h"
 #include "workload/tpcc.h"
@@ -108,6 +109,30 @@ Metric BenchBtreeProbe(const char* name, bool wide, bool copy) {
       auto r = tree.GetView(k);
       sink += r->size();
     }
+  }
+  Metric m = t.Stop(name, kProbes);
+  BIONICDB_CHECK(sink == kProbes * value.size());
+  return m;
+}
+
+/// The compact-store point read: the same keys and probe stream as
+/// btree_probe_*, against a finalized CompactStore (packed index + slab
+/// heap, empty delta). Must not allocate (tools/check_bench.py).
+Metric BenchCompactGet(const char* name, bool wide) {
+  const size_t kRows = 200000;
+  const size_t kProbes = 2000000;
+  const auto keys = MakeKeys(kRows, wide);
+  const std::string value(96, 'v');
+  storage::CompactStore store;
+  for (const auto& k : keys) BIONICDB_CHECK(store.Load(k, value).ok());
+  store.Finalize();
+  Rng rng(42);
+  uint64_t sink = 0;
+  Timer t;
+  for (size_t i = 0; i < kProbes; ++i) {
+    const std::string& k = keys[rng.Uniform(kRows)];
+    auto r = store.Get(k, nullptr);
+    sink += r->size();
   }
   Metric m = t.Stop(name, kProbes);
   BIONICDB_CHECK(sink == kProbes * value.size());
@@ -349,6 +374,8 @@ int Main(int argc, char** argv) {
   ms.push_back(BenchBtreeProbe("btree_probe_8", /*wide=*/false, false));
   ms.push_back(BenchBtreeProbe("btree_probe_16", /*wide=*/true, false));
   ms.push_back(BenchBtreeProbe("btree_probe_copy_16", /*wide=*/true, true));
+  ms.push_back(BenchCompactGet("compact_get_8", /*wide=*/false));
+  ms.push_back(BenchCompactGet("compact_get_16", /*wide=*/true));
   ms.push_back(BenchBtreeInsert());
   ms.push_back(BenchQueueCycle());
   ms.push_back(BenchDispatchCycle());

@@ -95,11 +95,13 @@ Result<Slice> Table::BaseGetView(Slice key) const {
 
 Status Table::BasePut(Slice key, Slice record) {
   if (compact_) {
-    if (!compact_->Contains(key)) {
+    bool inserted = false;
+    BIONICDB_RETURN_NOT_OK(compact_->Put(key, record, &inserted));
+    if (inserted) {
       ++rows_;
       record_bytes_ += record.size();
     }
-    return compact_->Put(key, record);
+    return Status::OK();
   }
   auto rid = LookupRid(key);
   if (rid.ok()) {

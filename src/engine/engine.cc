@@ -834,24 +834,23 @@ sim::Task<Status> Engine::InsertSecondary(ExecContext& ctx, Table* table,
 sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
 Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
                   size_t limit) {
-  // Functional result: base rows in [lo, hi) patched by the overlay.
-  std::map<std::string, std::string> merged;
+  // Functional result: base rows in [lo, hi), patched by the overlay when
+  // it fronts row writes. Otherwise an overlay holds only clean load-time
+  // copies, stale once a row is updated or deleted, and is not consulted.
+  std::vector<std::pair<std::string, std::string>> rows;
+  const auto full = [&rows, limit] {
+    return limit != 0 && rows.size() >= limit;
+  };
   {
     SharedGuard tg = ReadLock(table);
     SharedGuard dg = DiskReadLock();
-    if (table->compact()) {
-      table->compact_store()->Scan(lo, hi, [&merged](Slice k, Slice rec) {
-        merged[k.ToString()] = rec.ToString();
-        return true;
-      });
-    } else {
+    if (table->rows_in_overlay()) {
+      std::map<std::string, std::string> merged;
       for (auto it = table->primary().SeekRange(lo, hi); it.Valid();
            it.Next()) {
         auto rec = table->BaseGet(it.key());
         if (rec.ok()) merged[it.key().ToString()] = std::move(*rec);
       }
-    }
-    if (table->overlay() != nullptr) {
       const index::BTree& ov = table->overlay()->index();
       for (auto it = ov.SeekRange(lo, hi); it.Valid(); it.Next()) {
         Slice tagged = it.value();
@@ -862,12 +861,23 @@ Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
           merged[it.key().ToString()] = rec.ToString();
         }
       }
+      for (auto& kv : merged) {
+        if (full()) break;
+        rows.push_back(std::move(kv));
+      }
+    } else if (table->compact()) {
+      table->compact_store()->Scan(lo, hi, [&rows, &full](Slice k, Slice rec) {
+        if (full()) return false;
+        rows.emplace_back(k.ToString(), rec.ToString());
+        return true;
+      });
+    } else {
+      for (auto it = table->primary().SeekRange(lo, hi); it.Valid() && !full();
+           it.Next()) {
+        auto rec = table->BaseGetView(it.key());
+        if (rec.ok()) rows.emplace_back(it.key().ToString(), rec->ToString());
+      }
     }
-  }
-  std::vector<std::pair<std::string, std::string>> rows;
-  for (auto& kv : merged) {
-    if (limit != 0 && rows.size() >= limit) break;
-    rows.push_back(kv);
   }
   if (threaded_) co_return rows;  // the rest only charges the scan's time
 

@@ -5,6 +5,27 @@
 
 namespace bionicdb::storage {
 
+namespace {
+
+/// Big-endian first 8 bytes of `key`, zero-padded. Where two of these
+/// differ, integer order agrees with the keys' byte order; equal prefixes
+/// leave the order open.
+uint64_t Prefix8(Slice key) {
+  unsigned char b[8] = {};
+  std::memcpy(b, key.data(), std::min<size_t>(key.size(), 8));
+  uint64_t v = 0;
+  for (unsigned char c : b) v = (v << 8) | c;
+  return v;
+}
+
+size_t CommonPrefix(const char* a, const char* b, size_t n) {
+  size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------- PackedKeyIndex --
 
 void PackedKeyIndex::Build(std::vector<std::pair<std::string, uint64_t>>&& run) {
@@ -12,8 +33,13 @@ void PackedKeyIndex::Build(std::vector<std::pair<std::string, uint64_t>>&& run) 
   block_off_.clear();
   first_arena_.clear();
   first_off_.clear();
+  prefix_.clear();
   values_.clear();
   values_.reserve(run.size());
+  const size_t blocks = (run.size() + kBlockEntries - 1) / kBlockEntries;
+  block_off_.reserve(blocks);
+  first_off_.reserve(blocks + 1);
+  prefix_.reserve(blocks);
   first_off_.push_back(0);
   std::string prev;
   for (size_t i = 0; i < run.size(); ++i) {
@@ -27,10 +53,10 @@ void PackedKeyIndex::Build(std::vector<std::pair<std::string, uint64_t>>&& run) 
       block_off_.push_back(static_cast<uint32_t>(arena_.size()));
       first_arena_.append(key);
       first_off_.push_back(static_cast<uint32_t>(first_arena_.size()));
+      prefix_.push_back(Prefix8(Slice(key)));
     } else {
-      size_t shared = 0;
-      const size_t limit = std::min(prev.size(), key.size());
-      while (shared < limit && prev[shared] == key[shared]) ++shared;
+      const size_t shared = CommonPrefix(prev.data(), key.data(),
+                                         std::min(prev.size(), key.size()));
       arena_.push_back(static_cast<char>(shared));
       arena_.push_back(static_cast<char>(key.size() - shared));
       arena_.append(key, shared, std::string::npos);
@@ -54,28 +80,28 @@ Slice PackedKeyIndex::BlockFirst(size_t block) const {
                first_off_[block + 1] - first_off_[block]);
 }
 
-PackedKeyIndex::Iterator::Iterator(const PackedKeyIndex* idx, size_t rank)
-    : idx_(idx), rank_(rank) {
-  if (rank_ >= idx_->size()) return;
-  const size_t block = rank_ / kBlockEntries;
+PackedKeyIndex::Iterator::Iterator(const PackedKeyIndex* idx, size_t block)
+    : idx_(idx) {
+  StartBlock(block);
+}
+
+void PackedKeyIndex::Iterator::StartBlock(size_t block) {
+  rank_ = block * kBlockEntries;
+  if (block >= idx_->num_blocks()) {
+    rank_ = idx_->size();
+    return;
+  }
   const Slice first = idx_->BlockFirst(block);
   std::memcpy(buf_, first.data(), first.size());
   len_ = first.size();
   pos_ = idx_->block_off_[block];
-  const size_t target = rank_;
-  rank_ = block * kBlockEntries;
-  while (rank_ < target) Next();
 }
 
 void PackedKeyIndex::Iterator::Next() {
   ++rank_;
   if (rank_ >= idx_->size()) return;
   if (rank_ % kBlockEntries == 0) {
-    const size_t block = rank_ / kBlockEntries;
-    const Slice first = idx_->BlockFirst(block);
-    std::memcpy(buf_, first.data(), first.size());
-    len_ = first.size();
-    pos_ = idx_->block_off_[block];
+    StartBlock(rank_ / kBlockEntries);
     return;
   }
   const char* p = idx_->arena_.data() + pos_;
@@ -86,35 +112,108 @@ void PackedKeyIndex::Iterator::Next() {
   pos_ += static_cast<uint32_t>(2 + slen);
 }
 
-size_t PackedKeyIndex::LowerBound(Slice key) const {
-  if (values_.empty()) return 0;
-  // Last block whose first key <= key; everything before it is < key.
-  size_t lo = 0, hi = block_off_.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (BlockFirst(mid).Compare(key) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+size_t PackedKeyIndex::FindBlock(Slice key) const {
+  const uint64_t kp = Prefix8(key);
+  size_t hi = static_cast<size_t>(
+      std::upper_bound(prefix_.begin(), prefix_.end(), kp) - prefix_.begin());
+  if (hi > 0 && prefix_[hi - 1] == kp) {
+    // Blocks whose prefix ties with the key's: only full compares order
+    // them against it. Find the first one whose first key is > key.
+    size_t lo = static_cast<size_t>(
+        std::lower_bound(prefix_.begin(), prefix_.begin() + hi, kp) -
+        prefix_.begin());
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (BlockFirst(mid).Compare(key) <= 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
   }
-  if (lo == 0) return 0;  // key precedes the first key entirely
-  Iterator it(this, (lo - 1) * kBlockEntries);
-  while (it.Valid() && it.key().Compare(key) < 0) it.Next();
-  return it.Valid() ? it.rank() : size();
+  return hi == 0 ? kNpos : hi - 1;
+}
+
+template <bool kRebuild>
+size_t PackedKeyIndex::Search(Slice key, bool* exact, Iterator* it) const {
+  *exact = false;
+  const size_t block = FindBlock(key);
+  if (block == kNpos) {
+    // Precedes every key (or there are none).
+    if constexpr (kRebuild) it->StartBlock(0);
+    return 0;
+  }
+  if constexpr (kRebuild) it->StartBlock(block);
+  // Invariant: the last key passed sorts below `key` and shares exactly
+  // its first `match` bytes with it.
+  const Slice first = BlockFirst(block);
+  size_t match = CommonPrefix(first.data(), key.data(),
+                              std::min(first.size(), key.size()));
+  size_t rank = block * kBlockEntries;
+  if (match == first.size() && match == key.size()) {
+    *exact = true;
+    return rank;
+  }
+  const size_t end = std::min(size(), rank + kBlockEntries);
+  const char* p = arena_.data() + block_off_[block];
+  for (++rank; rank < end; ++rank) {
+    const size_t shared = static_cast<unsigned char>(p[0]);
+    const size_t slen = static_cast<unsigned char>(p[1]);
+    const char* suffix = p + 2;
+    p += 2 + slen;
+    if constexpr (kRebuild) {
+      std::memcpy(it->buf_ + shared, suffix, slen);
+      it->len_ = shared + slen;
+      it->pos_ = static_cast<uint32_t>(p - arena_.data());
+      it->rank_ = rank;
+    }
+    // Agrees with the last key below `key` past `match`: also below.
+    if (shared > match) continue;
+    // Diverges upward from that key before `match`: above `key`.
+    if (shared < match) return rank;
+    const size_t rest = key.size() - match;
+    const size_t n = std::min(slen, rest);
+    const size_t common = CommonPrefix(suffix, key.data() + match, n);
+    if (common == n) {
+      if (slen == rest) {
+        *exact = true;
+        return rank;
+      }
+      if (slen > rest) return rank;  // `key` is a proper prefix: above
+    } else if (static_cast<unsigned char>(suffix[common]) >
+               static_cast<unsigned char>(key[match + common])) {
+      return rank;
+    }
+    match += common;
+  }
+  // Every key in the block sorts below `key`.
+  if constexpr (kRebuild) it->StartBlock(block + 1);
+  return rank;
 }
 
 size_t PackedKeyIndex::Rank(Slice key) const {
-  const size_t lb = LowerBound(key);
-  if (lb >= size()) return kNpos;
-  Iterator it(this, lb);
-  return it.key() == key ? lb : kNpos;
+  bool exact = false;
+  const size_t rank = Search<false>(key, &exact, nullptr);
+  return exact ? rank : kNpos;
+}
+
+size_t PackedKeyIndex::LowerBound(Slice key) const {
+  bool exact = false;
+  return Search<false>(key, &exact, nullptr);
+}
+
+PackedKeyIndex::Iterator PackedKeyIndex::Seek(Slice key) const {
+  Iterator it(this, num_blocks());
+  bool exact = false;
+  Search<true>(key, &exact, &it);
+  return it;
 }
 
 uint64_t PackedKeyIndex::memory_bytes() const {
   return arena_.capacity() + first_arena_.capacity() +
          block_off_.capacity() * sizeof(uint32_t) +
          first_off_.capacity() * sizeof(uint32_t) +
+         prefix_.capacity() * sizeof(uint64_t) +
          values_.capacity() * sizeof(uint64_t);
 }
 
@@ -142,7 +241,7 @@ bool CompactStore::Contains(Slice key) const {
 
 Result<Slice> CompactStore::Get(Slice key, int* visits) const {
   if (visits != nullptr) *visits = index_.height();
-  auto it = delta_.find(key.ToString());
+  auto it = delta_.find(key.ToView());
   if (it != delta_.end()) {
     if (it->second == kTombstone) return Status::NotFound("key not found");
     return heap_.Get(it->second);
@@ -152,12 +251,15 @@ Result<Slice> CompactStore::Get(Slice key, int* visits) const {
   return heap_.Get(index_.value(rank));
 }
 
-Status CompactStore::Put(Slice key, Slice record) {
-  auto it = delta_.find(key.ToString());
+Status CompactStore::Put(Slice key, Slice record, bool* inserted) {
+  if (inserted != nullptr) *inserted = false;
+  auto it = delta_.find(key.ToView());
   if (it != delta_.end()) {
     if (it->second != kTombstone) {
       if (heap_.UpdateInPlace(it->second, record)) return Status::OK();
       heap_.NoteDead(it->second);
+    } else if (inserted != nullptr) {
+      *inserted = true;
     }
     it->second = heap_.Insert(record);
     return Status::OK();
@@ -171,11 +273,12 @@ Status CompactStore::Put(Slice key, Slice record) {
     return Status::OK();
   }
   delta_.emplace(key.ToString(), heap_.Insert(record));
+  if (inserted != nullptr) *inserted = true;
   return Status::OK();
 }
 
 Status CompactStore::Delete(Slice key) {
-  auto it = delta_.find(key.ToString());
+  auto it = delta_.find(key.ToView());
   if (it != delta_.end()) {
     if (it->second == kTombstone) return Status::NotFound("key not found");
     heap_.NoteDead(it->second);
@@ -198,8 +301,8 @@ Status CompactStore::Delete(Slice key) {
 void CompactStore::Scan(
     Slice lo, Slice hi,
     const std::function<bool(Slice key, Slice record)>& fn) const {
-  auto pit = index_.IteratorAt(index_.LowerBound(lo));
-  auto dit = delta_.lower_bound(lo.ToString());
+  auto pit = index_.Seek(lo);
+  auto dit = delta_.lower_bound(lo.ToView());
   const auto in_range = [&hi](Slice k) {
     return hi.empty() || k.Compare(hi) < 0;
   };
@@ -230,7 +333,7 @@ void CompactStore::Scan(
 size_t CompactStore::Compact() {
   std::vector<std::pair<std::string, uint64_t>> run;
   run.reserve(index_.size() + delta_.size());
-  auto pit = index_.IteratorAt(0);
+  auto pit = index_.Begin();
   auto dit = delta_.begin();
   while (pit.Valid() || dit != delta_.end()) {
     int c;

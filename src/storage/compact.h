@@ -7,17 +7,33 @@
 // bulk-loaded once and then served:
 //
 //  * PackedKeyIndex — keys in sorted order, front-coded in blocks of 64
-//    (block-first keys stored whole for binary search; every other key as
-//    shared-prefix-length + suffix against its predecessor). Values are a
-//    flat u64 array of SlabHeap handles, updatable in place.
+//    (block-first keys stored whole; every other key as shared-prefix
+//    length + suffix against its predecessor). Values are a flat u64
+//    array of SlabHeap handles, updatable in place.
 //  * SlabHeap — records back to back in 64 KiB slabs (storage/slab.h).
 //  * delta — a std::map over keys inserted or deleted after Finalize().
-//    Reads check it first; Compact() folds it back into the packed form.
+//    Reads check it first, by string_view, so a probe allocates nothing;
+//    Compact() folds it back into the packed form.
+//
+// Lookup is one pass with no key copies. A dense prefix directory holds
+// the big-endian first 8 bytes of each block-first key as a u64, so the
+// block search is a binary search over integers; full key compares run
+// only among blocks whose prefixes tie. Inside the block the search keeps
+// `match`, the length of the prefix the last key below the probe shares
+// with it. An entry whose `shared > match` agrees with that key past
+// `match`, so it also sorts below the probe and is skipped without reading
+// its suffix; one whose `shared < match` sorts above, ending the search.
+// Only `shared == match` compares suffix bytes. Rank, LowerBound and Seek
+// are this one search; Seek alone rebuilds keys, because its iterator must
+// hand them out.
 //
 // Probe cost is modeled as a constant-height tree of fanout 64 over the
 // block directory (height() below); the engine charges ProbeCost(height)
 // per lookup exactly as it does B+Tree node visits, so compact mode is a
-// memory trade, not a free-lunch speedup.
+// memory trade, not a free-lunch speedup. The engine's compact read probes
+// twice: once to decide hit or miss before the modeled probe cost, and
+// again after it, because a concurrent writer may relocate the record's
+// slab entry while the reading task is suspended.
 //
 // Untimed and functional like the rest of storage/. Not thread-safe: the
 // real-thread execution backend refuses compact tables (simulator-task
@@ -82,25 +98,41 @@ class PackedKeyIndex {
 
    private:
     friend class PackedKeyIndex;
-    Iterator(const PackedKeyIndex* idx, size_t rank);
-    void DecodeForward(size_t from_rank);
+    /// Positioned at the first key of `block` (past the end when `block`
+    /// is the block count).
+    Iterator(const PackedKeyIndex* idx, size_t block);
+    void StartBlock(size_t block);
 
     const PackedKeyIndex* idx_;
-    size_t rank_;
+    size_t rank_ = 0;
     uint32_t pos_ = 0;  ///< Arena offset of the NEXT encoded entry.
     char buf_[kMaxKeyBytes + 1];
     size_t len_ = 0;
   };
-  Iterator IteratorAt(size_t rank) const { return Iterator(this, rank); }
+  Iterator Begin() const { return Iterator(this, 0); }
+  /// Iterator at the first key >= `key` (the LowerBound rank).
+  Iterator Seek(Slice key) const;
 
  private:
   friend class Iterator;
   Slice BlockFirst(size_t block) const;
+  size_t num_blocks() const { return block_off_.size(); }
+  /// Last block whose first key is <= `key`, or kNpos when `key` sorts
+  /// before every key.
+  size_t FindBlock(Slice key) const;
+  /// The one search behind Rank, LowerBound and Seek: returns the rank of
+  /// the first key >= `key` and sets `*exact` when that key equals it.
+  /// With kRebuild the walk also rebuilds each key it passes into `*it`,
+  /// leaving the iterator at the returned rank.
+  template <bool kRebuild>
+  size_t Search(Slice key, bool* exact, Iterator* it) const;
 
   std::string arena_;               ///< Encoded non-first entries, per block.
   std::vector<uint32_t> block_off_; ///< Arena offset of each block.
   std::string first_arena_;         ///< Block-first keys, concatenated.
   std::vector<uint32_t> first_off_; ///< size num_blocks + 1.
+  /// Big-endian first 8 bytes (zero-padded) of each block-first key.
+  std::vector<uint64_t> prefix_;
   std::vector<uint64_t> values_;
   int height_ = 1;
 };
@@ -122,7 +154,8 @@ class CompactStore {
   bool Contains(Slice key) const;
   /// `visits` (optional) receives the modeled probe cost in node visits.
   Result<Slice> Get(Slice key, int* visits) const;
-  Status Put(Slice key, Slice record);  ///< Upsert.
+  /// Upsert. `inserted` (optional) is set when `key` was not live before.
+  Status Put(Slice key, Slice record, bool* inserted = nullptr);
   Status Delete(Slice key);
 
   /// In-order walk of [lo, hi) — empty `hi` means unbounded — over packed
@@ -145,7 +178,8 @@ class CompactStore {
   SlabHeap heap_;
   PackedKeyIndex index_;
   std::vector<std::pair<std::string, uint64_t>> staging_;
-  std::map<std::string, uint64_t> delta_;
+  /// Transparent compare: probed by string_view, never by a new string.
+  std::map<std::string, uint64_t, std::less<>> delta_;
   bool finalized_ = false;
 };
 

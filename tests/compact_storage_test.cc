@@ -1,15 +1,26 @@
 // Memory-lean storage tests: the slabbed record heap, the front-coded
-// packed key index, the CompactStore load/finalize/serve life cycle with
-// its post-load delta, and a TATP run through a compact-storage engine
-// producing the same commits as the paged/B+Tree engine.
+// packed key index (with randomized property checks of its one search
+// against std::map), the CompactStore load/finalize/serve life cycle with
+// its post-load delta (plus a random-op model test), an allocation check
+// on the finalized point lookup, and a TATP run through a compact-storage
+// engine producing the same commits as the paged/B+Tree engine.
+//
+// Defines the counting operator-new hook for this binary.
+#define BIONICDB_ALLOC_HOOK_DEFINE
+#include "bench/alloc_hook.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/engine.h"
+#include "index/codec.h"
 #include "sim/simulator.h"
 #include "storage/compact.h"
 #include "storage/slab.h"
@@ -107,7 +118,7 @@ TEST(PackedKeyIndexTest, IteratorDecodesEveryKeyInOrder) {
   idx.Build(std::move(run));
 
   int i = 0;
-  for (auto it = idx.IteratorAt(0); it.Valid(); it.Next(), ++i) {
+  for (auto it = idx.Begin(); it.Valid(); it.Next(), ++i) {
     EXPECT_EQ(it.key().ToString(), Key(i));
     EXPECT_EQ(it.value(), uint64_t(i) * 10);
   }
@@ -137,6 +148,105 @@ TEST(PackedKeyIndexTest, ValuesAreUpdatableInPlace) {
   ASSERT_NE(rank, PackedKeyIndex::kNpos);
   idx.set_value(rank, 777);
   EXPECT_EQ(idx.value(idx.Rank(Slice(Key(42)))), 777u);
+}
+
+/// Random byte keys built to stress the search: bytes from an alphabet
+/// spanning 0x00 (zero padding in the prefix directory) and >= 0x80
+/// (unsigned order), short keys that prefix longer ones, and the empty key.
+/// With `shared_prefix`, most keys sit behind one 8-byte prefix and the
+/// rest are truncations of it, so block-first keys tie in the directory.
+std::string RandomKey(Rng* rng, bool shared_prefix) {
+  static constexpr char kAlphabet[] = {'\x00', '\x01', 'a',    'b',
+                                       '\x7f', '\x80', '\xfe', '\xff'};
+  static const std::string kPrefix("\x80\x00pre\xff\x01\x00", 8);
+  std::string k;
+  if (shared_prefix) {
+    if (rng->Uniform(8) == 0) return kPrefix.substr(0, rng->Uniform(9));
+    k = kPrefix;
+  }
+  const size_t len = rng->Uniform(12);
+  for (size_t i = 0; i < len; ++i) k.push_back(kAlphabet[rng->Uniform(8)]);
+  return k;
+}
+
+/// Checks Rank, LowerBound and Seek for `probe` against the sorted key
+/// list the index was built from (values are ranks), and walks the Seek
+/// iterator across the next block boundary.
+void ExpectSearchMatches(const PackedKeyIndex& idx,
+                         const std::vector<std::string>& sorted,
+                         const std::string& probe) {
+  const size_t want = static_cast<size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), probe) - sorted.begin());
+  const bool found = want < sorted.size() && sorted[want] == probe;
+  ASSERT_EQ(idx.LowerBound(Slice(probe)), want)
+      << testing::PrintToString(probe);
+  ASSERT_EQ(idx.Rank(Slice(probe)), found ? want : PackedKeyIndex::kNpos)
+      << testing::PrintToString(probe);
+  auto it = idx.Seek(Slice(probe));
+  const size_t stop =
+      std::min(sorted.size(), want + PackedKeyIndex::kBlockEntries + 2);
+  for (size_t r = want; r < stop; ++r, it.Next()) {
+    ASSERT_TRUE(it.Valid()) << testing::PrintToString(probe);
+    ASSERT_EQ(it.rank(), r);
+    ASSERT_EQ(it.key().ToString(), sorted[r]) << testing::PrintToString(probe);
+    ASSERT_EQ(it.value(), uint64_t(r));
+  }
+  if (stop == sorted.size()) {
+    EXPECT_FALSE(it.Valid());
+  }
+}
+
+TEST(PackedKeyIndexTest, SearchMatchesStdMapOnRandomKeys) {
+  for (bool shared_prefix : {false, true}) {
+    for (size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                     size_t{129}, size_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " shared_prefix="
+                                      << shared_prefix);
+      Rng rng(n * 2 + (shared_prefix ? 1 : 0));
+      std::set<std::string> keys;
+      if (!shared_prefix) keys.insert("");  // the empty key is a key too
+      while (keys.size() < n) keys.insert(RandomKey(&rng, shared_prefix));
+      const std::vector<std::string> sorted(keys.begin(), keys.end());
+      std::vector<std::pair<std::string, uint64_t>> run;
+      for (size_t r = 0; r < sorted.size(); ++r) run.emplace_back(sorted[r], r);
+      PackedKeyIndex idx;
+      idx.Build(std::move(run));
+      ASSERT_EQ(idx.size(), n);
+
+      std::vector<std::string> probes = {"", std::string(20, '\xff'),
+                                         std::string(1, '\x00')};
+      for (const std::string& k : sorted) {
+        probes.push_back(k);
+        probes.push_back(k + '\x00');
+        probes.push_back(k + '\xff');
+        if (!k.empty()) {
+          probes.push_back(k.substr(0, k.size() - 1));
+          std::string up = k, down = k;
+          ++up.back();
+          --down.back();
+          probes.push_back(up);
+          probes.push_back(down);
+        }
+      }
+      for (int i = 0; i < 200; ++i) {
+        probes.push_back(RandomKey(&rng, shared_prefix));
+        probes.push_back(RandomKey(&rng, !shared_prefix));
+      }
+      for (const std::string& p : probes) {
+        ExpectSearchMatches(idx, sorted, p);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(PackedKeyIndexTest, EmptyIndex) {
+  PackedKeyIndex idx;
+  idx.Build({});
+  EXPECT_EQ(idx.Rank(Slice("a")), PackedKeyIndex::kNpos);
+  EXPECT_EQ(idx.LowerBound(Slice("a")), 0u);
+  EXPECT_FALSE(idx.Seek(Slice("")).Valid());
+  EXPECT_FALSE(idx.Begin().Valid());
 }
 
 // --------------------------------------------------------- compact store --
@@ -232,6 +342,122 @@ TEST(CompactStoreTest, CompactFoldsDeltaBack) {
   EXPECT_EQ(store.Compact(), before.size());
   EXPECT_EQ(store.Get(Slice(Key(3)), nullptr)->ToString(), "patched");
   EXPECT_FALSE(store.Contains(Slice(Key(4))));
+}
+
+/// Random Get/Put/Delete/Scan traffic with occasional Compact(), checked
+/// op by op against a std::map.
+TEST(CompactStoreTest, RandomOpsMatchStdMap) {
+  for (bool shared_prefix : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "shared_prefix=" << shared_prefix);
+    Rng rng(shared_prefix ? 11 : 5);
+    CompactStore store;
+    std::map<std::string, std::string> model;
+    for (int i = 0; i < 300; ++i) {
+      const std::string k = RandomKey(&rng, shared_prefix);
+      if (model.count(k) != 0) continue;
+      const std::string v = "load-" + std::to_string(i);
+      ASSERT_TRUE(store.Load(Slice(k), Slice(v)).ok());
+      model[k] = v;
+    }
+    store.Finalize();
+    for (int op = 0; op < 20000; ++op) {
+      std::string k = RandomKey(&rng, shared_prefix);
+      if (rng.Uniform(2) == 0) {
+        // Half the traffic targets a live key.
+        auto live = model.lower_bound(k);
+        if (live == model.end()) live = model.begin();
+        if (live != model.end()) k = live->first;
+      }
+      switch (rng.Uniform(10)) {
+        case 0:
+        case 1:
+        case 2: {
+          auto r = store.Get(Slice(k), nullptr);
+          auto m = model.find(k);
+          ASSERT_EQ(r.ok(), m != model.end()) << op;
+          if (r.ok()) {
+            ASSERT_EQ(r->ToString(), m->second) << op;
+          }
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {
+          // Lengths vary so updates both fit in place and relocate.
+          const std::string v(rng.Uniform(40), char('a' + op % 26));
+          bool inserted = false;
+          ASSERT_TRUE(store.Put(Slice(k), Slice(v), &inserted).ok());
+          ASSERT_EQ(inserted, model.count(k) == 0) << op;
+          model[k] = v;
+          break;
+        }
+        case 6:
+        case 7:
+          ASSERT_EQ(store.Delete(Slice(k)).ok(), model.erase(k) == 1) << op;
+          break;
+        case 8: {
+          // [lo, hi) with an empty hi unbounded, stopped after `cap` rows.
+          const std::string hi =
+              rng.Uniform(3) == 0 ? "" : RandomKey(&rng, shared_prefix);
+          const size_t cap = 1 + rng.Uniform(80);
+          std::vector<std::pair<std::string, std::string>> got, want;
+          store.Scan(Slice(k), Slice(hi), [&](Slice key, Slice rec) {
+            got.emplace_back(key.ToString(), rec.ToString());
+            return got.size() < cap;
+          });
+          for (auto m = model.lower_bound(k);
+               m != model.end() && (hi.empty() || m->first < hi) &&
+               want.size() < cap;
+               ++m) {
+            want.push_back(*m);
+          }
+          ASSERT_EQ(got, want) << op;
+          break;
+        }
+        default:
+          if (rng.Uniform(40) == 0) {
+            ASSERT_EQ(store.Compact(), model.size()) << op;
+          } else {
+            ASSERT_EQ(store.Contains(Slice(k)), model.count(k) == 1) << op;
+          }
+      }
+    }
+    EXPECT_EQ(ScanAllOf(store), model);
+  }
+}
+
+/// A point lookup on a finalized store, hit or miss, packed or delta,
+/// must not touch the heap: no key string, no iterator state.
+TEST(CompactStoreTest, FinalizedGetAllocatesNothing) {
+  CompactStore store;
+  std::vector<std::string> probes;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    // TATP-shaped 16- and 24-byte keys: past the std::string SSO limit.
+    const std::string k16 = index::EncodeKeyU64Pair(i, i % 4);
+    const std::string k24 = k16 + index::EncodeKeyU64(i * 7);
+    ASSERT_TRUE(store.Load(Slice(k16), Slice("record-16")).ok());
+    ASSERT_TRUE(store.Load(Slice(k24), Slice("record-24")).ok());
+    probes.push_back(k16);
+    probes.push_back(k24);
+    probes.push_back(index::EncodeKeyU64Pair(i, 9));  // a miss
+  }
+  store.Finalize();
+  // Post-load writes leave a live delta to probe through.
+  const std::string fresh = index::EncodeKeyU64Pair(5000, 1);
+  ASSERT_TRUE(store.Put(Slice(fresh), Slice("fresh")).ok());
+  ASSERT_TRUE(store.Delete(Slice(probes[0])).ok());
+  probes.push_back(fresh);
+
+  uint64_t sink = 0;
+  const uint64_t before = bench::AllocCount();
+  for (const std::string& k : probes) {
+    int visits = 0;
+    auto r = store.Get(Slice(k), &visits);
+    sink += r.ok() ? r->size() : 1;
+  }
+  const uint64_t allocs = bench::AllocCount() - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(sink, probes.size());
 }
 
 // ------------------------------------------------------- engine e2e --

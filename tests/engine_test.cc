@@ -387,6 +387,52 @@ TEST(OverlayEngineTest, QueriesSeeUnmergedUpdates) {
   EXPECT_EQ(fresh_count, 1u);  // without the patch this would be 0
 }
 
+TEST(OverlayEngineTest, RangeReadIgnoresCleanOverlayWhenRowsLiveInBase) {
+  // Bionic without overlay offload: the overlay holds clean load-time
+  // copies while writes go to base pages. A range read must see the writes.
+  EngineConfig config = SmallBionic();
+  config.offload.overlay = false;
+  Fixture f(config);
+  Table* t = f.engine.CreateTable("T");
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(f.engine.LoadRow(t, EncodeKeyU64(i), "a").ok());
+  }
+  ASSERT_FALSE(t->rows_in_overlay());
+  ASSERT_GT(t->overlay()->entries(), 0u);
+  std::vector<std::pair<std::string, std::string>> rows;
+  RunInEngine(&f, [&]() -> Task<> {
+    Engine* eng = &f.engine;
+    Status st = co_await eng->Execute(SingleStepTxn(
+        eng, t, EncodeKeyU64(3),
+        [eng, t](Engine::ExecContext& ctx) -> sim::Task<Status> {
+          co_return co_await eng->Update(ctx, t, EncodeKeyU64(3), "b");
+        }));
+    EXPECT_TRUE(st.ok());
+    st = co_await eng->Execute(SingleStepTxn(
+        eng, t, EncodeKeyU64(5),
+        [eng, t](Engine::ExecContext& ctx) -> sim::Task<Status> {
+          co_return co_await eng->Delete(ctx, t, EncodeKeyU64(5));
+        }));
+    EXPECT_TRUE(st.ok());
+    st = co_await eng->Execute(SingleStepTxn(
+        eng, t, EncodeKeyU64(0),
+        [eng, t, &rows](Engine::ExecContext& ctx) -> sim::Task<Status> {
+          auto r = co_await eng->RangeRead(ctx, t, EncodeKeyU64(0),
+                                           EncodeKeyU64(10), 0);
+          if (!r.ok()) co_return r.status();
+          rows = *r;
+          co_return Status::OK();
+        },
+        true));
+    EXPECT_TRUE(st.ok());
+  });
+  std::map<std::string, std::string> got(rows.begin(), rows.end());
+  ASSERT_EQ(rows.size(), 9u);
+  EXPECT_EQ(got.at(EncodeKeyU64(3)), "b");
+  EXPECT_EQ(got.count(EncodeKeyU64(5)), 0u);
+  EXPECT_EQ(got.at(EncodeKeyU64(4)), "a");
+}
+
 // ---------------------------------------------------------------- recovery --
 
 /// Recovery target applying redo into a table's base storage.

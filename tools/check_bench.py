@@ -17,6 +17,9 @@ gates come in two backend dimensions, selected with --backend:
               * Tail-attribution fields present and sane.
               * Event-queue speedup ratio (heap/calendar, both measured
                 in one process) within 15% of the baseline ratio.
+              * The compact-store point reads (compact_get_8,
+                compact_get_16) allocate nothing: allocs_per_op == 0
+                exactly, a count that no host changes.
 
   threaded  Wall-clock gates on the real-thread backend rows
             (tatp_threaded_t{1,2,4,8}, tpcc_threaded_t8). Absolute
@@ -54,6 +57,7 @@ import sys
 
 SIM_TXN_PER_SEC_PIN = 2192905.5
 TATP_THREAD_SWEEP = [1, 2, 4, 8]
+COMPACT_GET_ROWS = ["compact_get_8", "compact_get_16"]
 
 
 def fail(msg):
@@ -125,6 +129,19 @@ def check_sim(wallclock, evq, baseline):
         )
     print(f"ok: event-queue TATP-trace speedup {ratio:.2f}x "
           f"(baseline {base_ratio:.2f}x, floor {floor:.2f}x)")
+
+    # 2b. Compact-store point reads are allocation-free (exact).
+    for name in COMPACT_GET_ROWS:
+        row = wallclock.get(name)
+        if row is None:
+            fail(f"{name} row missing from wallclock output")
+        if row["allocs_per_op"] != 0:
+            fail(
+                f"{name}: {row['allocs_per_op']} allocs/op, expected 0 — a "
+                "compact-store lookup started allocating (a key copy or a "
+                "per-probe std::string)"
+            )
+    print(f"ok: {', '.join(COMPACT_GET_ROWS)} allocate nothing")
 
 
 def check_threaded(wallclock):
