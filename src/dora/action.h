@@ -15,8 +15,10 @@
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,31 +31,48 @@
 #include "sim/task.h"
 #include "txn/xct.h"
 
-namespace bionicdb::exec {
-class ThreadedRvp;
-}
-
 namespace bionicdb::dora {
 
 class Partition;
 
 /// Joins `count` actions; the awaiting coroutine (the transaction driver)
-/// resumes when the last arrives. The first non-OK status wins.
+/// resumes when the last arrives. The first non-OK status wins. The
+/// threaded backend also joins the partitions releasing a transaction's
+/// locks with one.
+///
+/// On the simulator the wait is a sim::Completion. On the threaded backend
+/// (`threaded`) the actions arrive from partition agent threads and the
+/// driver blocks on a mutex/condvar latch instead; the mutex also carries
+/// the happens-before edge from each agent's writes (locks recorded on the
+/// Xct, undo entries, table mutations) to the driver past Wait().
 class Rvp {
  public:
-  Rvp(sim::Simulator* sim, int count)
-      : remaining_(count), done_(sim) {
+  Rvp(sim::Simulator* sim, int count, bool threaded = false)
+      : remaining_(count), threaded_(threaded), done_(sim) {
     if (count == 0) done_.Set();  // empty phases complete immediately
   }
 
   /// Called by the executing agent when an action finishes.
   void Arrive(Status st) {
-    if (!st.ok() && agg_.ok()) agg_ = st;
-    if (--remaining_ == 0) done_.Set();
+    if (!threaded_) {
+      Count(st);
+      if (remaining_ == 0) done_.Set();
+      return;
+    }
+    // Notify under the mutex: the driver may destroy the Rvp as soon as it
+    // can observe remaining_ == 0.
+    std::lock_guard<std::mutex> lk(mu_);
+    Count(st);
+    if (remaining_ == 0) cv_.notify_one();
   }
 
   /// Awaited by the transaction driver.
   sim::Task<Status> Wait() {
+    if (threaded_) {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return remaining_ == 0; });
+      co_return agg_;
+    }
     co_await done_.Wait();
     co_return agg_;
   }
@@ -61,9 +80,17 @@ class Rvp {
   int remaining() const { return remaining_; }
 
  private:
+  void Count(const Status& st) {
+    if (!st.ok() && agg_.ok()) agg_ = st;
+    --remaining_;
+  }
+
   int remaining_;
+  const bool threaded_;
   Status agg_;
   sim::Completion done_;
+  std::mutex mu_;
+  std::condition_variable cv_;
 };
 
 /// Execution context handed to an action body by the partition agent.
@@ -85,10 +112,6 @@ struct Action {
   bool shared_locks = false;
   ActionFn fn;
   Rvp* rvp = nullptr;
-  /// Rendezvous for the threaded backend (exec::ThreadedBackend); exactly
-  /// one of rvp/trvp is set depending on which substrate dispatched the
-  /// action.
-  exec::ThreadedRvp* trvp = nullptr;
   int socket = 0;
   /// Timeline bookkeeping (obs::TxnTimeline attribution): when the action
   /// entered its partition queue, and — if it parked on a local lock —
@@ -136,7 +159,6 @@ struct Action {
     shared_locks = false;
     fn = nullptr;
     rvp = nullptr;
-    trvp = nullptr;
     socket = 0;
     enqueue_ts = 0;
     parked_since = 0;

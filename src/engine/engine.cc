@@ -4,8 +4,12 @@
 #include <map>
 #include <memory>
 
+#include "common/relaxed_counter.h"
+#include "exec/threaded.h"
+
 namespace bionicdb::engine {
 
+using common::RelaxedAdd;
 using hw::Component;
 
 Engine::Engine(sim::Simulator* sim, const EngineConfig& config)
@@ -476,14 +480,17 @@ sim::Task<void> Engine::SimProbeCost(ExecContext& ctx, int levels,
 sim::Task<Status> Engine::LogWrite(ExecContext& ctx, wal::RecordType type,
                                    Table* table, Slice key, Slice redo,
                                    Slice undo) {
-  if (threaded_) {
-    co_return ThreadedLogWrite(ctx.xct, type, table->id(), key, redo, undo);
-  }
   // Materialize before the first suspension: callers may pass ReadView()
   // views, which other transactions can invalidate while this waits.
   std::string key_s = key.ToString();
   std::string redo_s = redo.ToString();
   std::string undo_s = undo.ToString();
+  if (threaded_) {
+    // The transaction's actions log concurrently on different agents.
+    auto lk = XctLock(ctx.xct);
+    co_return co_await xm_->LogWrite(ctx.xct, type, table->id(), key_s,
+                                     redo_s, undo_s, ctx.socket);
+  }
   obs::TxnTimeline* tl = ctx.xct != nullptr ? ctx.xct->timeline : nullptr;
   const SimTime w0 = tl != nullptr ? sim_->Now() : 0;
   const bool hw_log =
@@ -1140,16 +1147,11 @@ sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
     }
   }
   // Threads keep no buffer pool to flush (frames alias device pages).
-  if (threaded_) co_return ThreadedCheckpointRecord();
-  if (!UseOverlay()) {
+  if (!UseOverlay() && !threaded_) {
     BIONICDB_CO_RETURN_NOT_OK(co_await bpool_->FlushAll());
   }
   // 2. Mark the log: replay after a crash starts here.
-  wal::LogRecord rec;
-  rec.type = wal::RecordType::kCheckpoint;
-  rec.prev_lsn = log_->current_lsn();
-  const wal::Lsn lsn = co_await log_->Append(std::move(rec), ctx.socket);
-  co_return co_await log_->WaitDurable(lsn + 1);
+  co_return co_await xm_->LogCheckpoint(ctx.socket);
 }
 
 sim::Task<Status> Engine::ReorganizeIndex(ExecContext& ctx, Table* table) {
@@ -1176,9 +1178,7 @@ sim::Task<Status> Engine::ReorganizeIndex(ExecContext& ctx, Table* table) {
 // ------------------------------------------------------------ txn driving --
 
 std::string Engine::QualifiedKey(const Table* table, Slice key) {
-  std::string q = "t";
-  q += std::to_string(table->id());
-  q += ":";
+  std::string q = TablePrefix(table).slice().ToString();
   q.append(key.data(), key.size());
   return q;
 }
@@ -1191,23 +1191,29 @@ void Engine::ApplyUndo(const txn::UndoEntry& entry) {
 }
 
 sim::Task<void> Engine::ReleaseAllLocks(txn::Xct* xct) {
-  if (config_.mode == EngineMode::kConventional) {
+  if (threaded_) {
+    threaded_->ReleaseTxnLocks(xct);
+  } else if (lm_) {
     lm_->ReleaseAll(xct);
   } else {
     co_await executor_->ReleaseTxnLocks(xct);
   }
 }
 
-sim::Task<Status> Engine::CommitTxn(ExecContext& ctx, txn::Xct* xct) {
+sim::Task<Status> Engine::CommitTxn(BranchHandle* h) {
+  txn::Xct* xct = h->xct.get();
   obs::TxnTimeline* tl = xct->timeline;
   const SimTime commit0 = tl != nullptr ? sim_->Now() : 0;
   co_await CpuWorkNoCore(platform_->cost().XctCommitNs(), Component::kXct);
   // The commit-record append is CPU work on the software log; the
   // durability wait afterwards is idle time and is deliberately not
-  // charged to the breakdown.
+  // charged to the breakdown. (Virtual time stands still on threads.)
   const SimTime t0 = sim_->Now();
   const wal::Lsn commit_lsn = co_await xm_->AppendCommitRecord(xct,
-                                                               ctx.socket);
+                                                               h->socket);
+  // Early lock release: the commit record is ordered in the log, so
+  // concurrent committers can share one group-commit flush.
+  if (h->serial) h->serial.unlock();
   const SimTime append_elapsed = sim_->Now() - t0;
   const bool hw_log =
       config_.mode == EngineMode::kBionic && config_.offload.logging;
@@ -1228,126 +1234,76 @@ sim::Task<Status> Engine::CommitTxn(ExecContext& ctx, txn::Xct* xct) {
     // The commit record never became durable (flush abandoned / device
     // crashed): the transaction is NOT committed. Surface it instead of
     // silently succeeding; recovery will treat it as a loser.
-    ++metrics_.durability_failures;
+    RelaxedAdd(metrics_.durability_failures);
   }
+  // Strict 2PL: locks release after durability.
   co_await ReleaseAllLocks(xct);
   co_return st;
 }
 
-sim::Task<Status> Engine::AbortTxn(ExecContext& ctx, txn::Xct* xct) {
+sim::Task<Status> Engine::AbortTxn(BranchHandle* h) {
+  txn::Xct* xct = h->xct.get();
   // Undo is CPU work proportional to the number of reverted actions.
   co_await CpuWorkNoCore(platform_->cost().TupleWriteNs() *
                              static_cast<double>(xct->undo_chain.size()),
                          Component::kXct);
   Status st = co_await xm_->Abort(
-      xct, [this](const txn::UndoEntry& e) { ApplyUndo(e); }, ctx.socket);
+      xct, [this](const txn::UndoEntry& e) { ApplyUndo(e); }, h->socket);
+  if (h->serial) h->serial.unlock();
   co_await ReleaseAllLocks(xct);
   co_return st;
 }
 
-sim::Task<Status> Engine::Execute(TxnSpec spec, int socket,
+sim::Task<Status> Engine::Execute(const TxnSpec& spec, int socket,
                                   uint64_t* priority, SimTime arrival_ts) {
-  // Threaded runs drive transactions through ThreadedBackend::Execute; the
-  // simulated path below must never run with the backend attached.
-  BIONICDB_CHECK(threaded_ == nullptr);
-  // Open-loop callers backdate `start` to the admission-queue enqueue time:
-  // latency.Add() below then records sojourn (queue wait included), and the
-  // admit-stage charge absorbs the wait. Accounting only — every event this
-  // coroutine schedules still happens at Now() or later.
-  const SimTime now0 = sim_->Now();
-  BIONICDB_DCHECK(arrival_ts <= now0);
-  const SimTime start = arrival_ts >= 0 ? arrival_ts : now0;
-  // In-flight transactions overlap arbitrarily -> async spans on one track.
-  uint64_t span_id = 0;
-  if (tracer_) {
-    span_id = ++trace_txn_seq_;
-    tracer_->AsyncBegin(trace_txn_track_, trace_txn_name_, trace_txn_cat_,
-                        start, span_id);
-  }
-  // Flight recorder: acquire a pooled timeline (null when disabled; every
-  // charge site below and in the layers gates on the pointer).
-  obs::TxnTimeline* tl = flight_ ? flight_->Begin(start) : nullptr;
-  // Conventional engine: admission waits for a worker-pool slot.
-  if (workers_sem_) co_await workers_sem_->Acquire();
-  if (tl != nullptr) tl->Charge(obs::Stage::kAdmit, sim_->Now() - start);
-  const SimTime route0 = tl != nullptr ? sim_->Now() : 0;
-  co_await CpuWorkNoCore(platform_->cost().FrontendDispatchNs(),
-                         Component::kFrontend);
-  if (tl != nullptr) tl->Charge(obs::Stage::kRoute, sim_->Now() - route0);
-
-  auto xct = xm_->Begin();
-  if (priority != nullptr) {
-    if (*priority == 0) {
-      *priority = xct->priority;
-    } else {
-      xct->priority = *priority;
-    }
-  }
-  if (tl != nullptr) {
-    tl->txn_id = xct->id;
-    xct->timeline = tl;
-  }
-  ExecContext ctx;
-  ctx.engine = this;
-  ctx.xct = xct.get();
-  ctx.socket = socket;
-  ctx.core_held = false;
-  co_await CpuWorkNoCore(platform_->cost().XctBeginNs(), Component::kXct);
-
-  Status st = co_await RunAllPhases(spec, ctx);
-
-  if (st.ok()) {
-    st = co_await CommitTxn(ctx, xct.get());
-    if (st.ok()) {
-      ++metrics_.commits;
-    } else {
-      ++metrics_.aborts;
-    }
-  } else {
-    if (st.IsIOError()) ++metrics_.io_errors;
-    Status abort_st = co_await AbortTxn(ctx, xct.get());
-    BIONICDB_CHECK(abort_st.ok());
-    ++metrics_.aborts;
-  }
-  if (tracer_) {
-    const SimTime end = sim_->Now();
-    tracer_->Instant(trace_txn_track_,
-                     st.ok() ? trace_commit_name_ : trace_abort_name_,
-                     trace_txn_cat_, end);
-    tracer_->AsyncEnd(trace_txn_track_, trace_txn_name_, trace_txn_cat_, end,
-                      span_id);
-  }
-  metrics_.latency.Add(sim_->Now() - start);
-  if (tl != nullptr) {
-    // Detach before Finish: the recorder may recycle the record into the
-    // pool, and nothing must observe it through the Xct afterwards.
-    xct->timeline = nullptr;
-    flight_->Finish(tl, sim_->Now(), st.ok());
-  }
-  if (workers_sem_) workers_sem_->Release();
-  co_return st;
+  BranchHandle h;
+  const Status st =
+      co_await ExecuteBranch(&h, spec, socket, priority, arrival_ts);
+  // An abort finishes OK: the transaction's status is the failing phase's.
+  const Status finished = co_await FinishBranch(&h, st.ok());
+  co_return st.ok() ? finished : st;
 }
 
-sim::Task<Status> Engine::ExecuteBranch(BranchHandle* h, TxnSpec spec,
-                                        int socket, uint64_t* priority) {
-  BIONICDB_CHECK(threaded_ == nullptr);
-  // Mirrors Execute() up to (and excluding) the commit protocol; the
-  // cluster's 2PC supplies that via PrepareBranch/FinishBranch.
-  const SimTime start = sim_->Now();
-  if (tracer_) {
-    h->span_id = ++trace_txn_seq_;
-    tracer_->AsyncBegin(trace_txn_track_, trace_txn_name_, trace_txn_cat_,
-                        start, h->span_id);
+sim::Task<Status> Engine::ExecuteBranch(BranchHandle* h, const TxnSpec& spec,
+                                        int socket, uint64_t* priority,
+                                        SimTime arrival_ts) {
+  h->socket = socket;
+  if (threaded_) {
+    // Conventional mode: the global mutex in place of a worker-pool slot.
+    if (lm_) h->serial = std::unique_lock(threaded_->conventional_mutex());
+  } else {
+    // Open-loop callers backdate `start` to the admission-queue enqueue
+    // time: FinishBranch then records sojourn (queue wait included), and
+    // the admit-stage charge absorbs the wait. Accounting only — every
+    // event this coroutine schedules still happens at Now() or later.
+    const SimTime now0 = sim_->Now();
+    BIONICDB_DCHECK(arrival_ts <= now0);
+    h->start = arrival_ts >= 0 ? arrival_ts : now0;
+    // In-flight transactions overlap arbitrarily -> async spans on one
+    // track.
+    if (tracer_) {
+      h->span_id = ++trace_txn_seq_;
+      tracer_->AsyncBegin(trace_txn_track_, trace_txn_name_, trace_txn_cat_,
+                          h->start, h->span_id);
+    }
+    // Flight recorder: acquire a pooled timeline (null when disabled; every
+    // charge site below and in the layers gates on the pointer).
+    h->tl = flight_ ? flight_->Begin(h->start) : nullptr;
+    // Conventional engine: admission waits for a worker-pool slot.
+    if (workers_sem_) co_await workers_sem_->Acquire();
+    if (h->tl != nullptr) {
+      h->tl->Charge(obs::Stage::kAdmit, sim_->Now() - h->start);
+    }
+    const SimTime route0 = h->tl != nullptr ? sim_->Now() : 0;
+    co_await CpuWorkNoCore(platform_->cost().FrontendDispatchNs(),
+                           Component::kFrontend);
+    if (h->tl != nullptr) {
+      h->tl->Charge(obs::Stage::kRoute, sim_->Now() - route0);
+    }
   }
-  obs::TxnTimeline* tl = flight_ ? flight_->Begin(start) : nullptr;
-  if (workers_sem_) co_await workers_sem_->Acquire();
-  if (tl != nullptr) tl->Charge(obs::Stage::kAdmit, sim_->Now() - start);
-  const SimTime route0 = tl != nullptr ? sim_->Now() : 0;
-  co_await CpuWorkNoCore(platform_->cost().FrontendDispatchNs(),
-                         Component::kFrontend);
-  if (tl != nullptr) tl->Charge(obs::Stage::kRoute, sim_->Now() - route0);
 
-  auto xct = xm_->Begin();
+  h->xct = xm_->Begin();
+  txn::Xct* xct = h->xct.get();
   if (priority != nullptr) {
     if (*priority == 0) {
       *priority = xct->priority;
@@ -1355,24 +1311,19 @@ sim::Task<Status> Engine::ExecuteBranch(BranchHandle* h, TxnSpec spec,
       xct->priority = *priority;
     }
   }
-  if (tl != nullptr) {
-    tl->txn_id = xct->id;
-    xct->timeline = tl;
+  if (h->tl != nullptr) {
+    h->tl->txn_id = xct->id;
+    xct->timeline = h->tl;
   }
   ExecContext ctx;
   ctx.engine = this;
-  ctx.xct = xct.get();
+  ctx.xct = xct;
   ctx.socket = socket;
   ctx.core_held = false;
   co_await CpuWorkNoCore(platform_->cost().XctBeginNs(), Component::kXct);
 
   Status st = co_await RunAllPhases(spec, ctx);
-  if (st.IsIOError()) ++metrics_.io_errors;
-
-  h->xct = std::move(xct);
-  h->tl = tl;
-  h->start = start;
-  h->socket = socket;
+  if (st.IsIOError()) RelaxedAdd(metrics_.io_errors);
   co_return st;
 }
 
@@ -1422,49 +1373,43 @@ sim::Task<Status> Engine::LogCoordForget(uint64_t gtid, int socket) {
 }
 
 sim::Task<Status> Engine::FinishBranch(BranchHandle* h, bool commit) {
-  ExecContext ctx;
-  ctx.engine = this;
-  ctx.xct = h->xct.get();
-  ctx.socket = h->socket;
-  ctx.core_held = false;
   Status st;
   if (commit) {
-    st = co_await CommitTxn(ctx, h->xct.get());
-    if (st.ok()) {
-      ++metrics_.commits;
-    } else {
-      ++metrics_.aborts;
-    }
+    st = co_await CommitTxn(h);
+    RelaxedAdd(st.ok() ? metrics_.commits : metrics_.aborts);
   } else {
-    Status abort_st = co_await AbortTxn(ctx, h->xct.get());
+    Status abort_st = co_await AbortTxn(h);
     BIONICDB_CHECK(abort_st.ok());
-    ++metrics_.aborts;
-    st = Status::OK();
+    RelaxedAdd(metrics_.aborts);
   }
+  if (threaded_) co_return st;
   const bool committed = commit && st.ok();
+  const SimTime end = sim_->Now();
   if (tracer_) {
-    const SimTime end = sim_->Now();
     tracer_->Instant(trace_txn_track_,
                      committed ? trace_commit_name_ : trace_abort_name_,
                      trace_txn_cat_, end);
     tracer_->AsyncEnd(trace_txn_track_, trace_txn_name_, trace_txn_cat_, end,
                       h->span_id);
   }
-  metrics_.latency.Add(sim_->Now() - h->start);
+  metrics_.latency.Add(end - h->start);
   if (h->tl != nullptr) {
+    // Detach before Finish: the recorder may recycle the record into the
+    // pool, and nothing must observe it through the Xct afterwards.
     h->xct->timeline = nullptr;
-    flight_->Finish(h->tl, sim_->Now(), committed);
+    flight_->Finish(h->tl, end, committed);
     h->tl = nullptr;
   }
   if (workers_sem_) workers_sem_->Release();
   co_return st;
 }
 
-sim::Task<Status> Engine::RunAllPhases(TxnSpec& spec, ExecContext& ctx) {
+sim::Task<Status> Engine::RunAllPhases(const TxnSpec& spec,
+                                       ExecContext& ctx) {
   // Note: no `cond ? co_await a : co_await b` here — GCC 12 miscompiles
   // co_await inside the conditional operator (frame-temporary lifetime).
   const bool conventional = config_.mode == EngineMode::kConventional;
-  for (Phase& phase : spec.phases) {
+  for (const Phase& phase : spec.phases) {
     Status st;
     if (conventional) {
       st = co_await RunPhaseConventional(phase, ctx);
@@ -1489,17 +1434,19 @@ sim::Task<Status> Engine::RunAllPhases(TxnSpec& spec, ExecContext& ctx) {
   co_return Status::OK();
 }
 
-sim::Task<Status> Engine::RunPhaseConventional(Phase& phase,
+sim::Task<Status> Engine::RunPhaseConventional(const Phase& phase,
                                                ExecContext& ctx) {
   obs::TxnTimeline* tl = ctx.xct->timeline;
-  for (TxnStep& step : phase) {
-    // 2PL: centralized lock manager, row locks, wait-die on conflict.
-    for (const std::string& key : step.keys) {
+  for (const TxnStep& step : phase) {
+    // 2PL: centralized lock manager, row locks, wait-die on conflict. On
+    // threads the global transaction mutex already excludes every peer.
+    const size_t locks = threaded_ ? 0 : step.keys.size();
+    for (size_t i = 0; i < locks; ++i) {
       co_await CpuWork(ctx, platform_->cost().LockAcquireNs(),
                        Component::kXct);
       const SimTime l0 = tl != nullptr ? sim_->Now() : 0;
       Status st = co_await lm_->Acquire(
-          ctx.xct, QualifiedKey(step.table, key),
+          ctx.xct, QualifiedKey(step.table, step.keys[i]),
           step.read_only ? txn::LockMode::kShared
                          : txn::LockMode::kExclusive);
       if (tl != nullptr) tl->Charge(obs::Stage::kLockWait, sim_->Now() - l0);
@@ -1513,22 +1460,21 @@ sim::Task<Status> Engine::RunPhaseConventional(Phase& phase,
   co_return Status::OK();
 }
 
-sim::Task<Status> Engine::RunPhaseDora(Phase& phase, ExecContext& ctx) {
+sim::Task<Status> Engine::RunPhaseDora(const Phase& phase, ExecContext& ctx) {
   const bool async = config_.mode == EngineMode::kBionic;
-  dora::Rvp rvp(sim_, static_cast<int>(phase.size()));
-  for (TxnStep& step : phase) {
-    // Actions come from the executor's pool and carry their lock keys in a
-    // per-action arena: steady-state dispatch touches no allocator.
-    dora::Action* action = executor_->AcquireAction();
+  dora::Rvp rvp(sim_, static_cast<int>(phase.size()), threaded_ != nullptr);
+  for (const TxnStep& step : phase) {
+    // Actions come from a pool and carry their lock keys in a per-action
+    // arena: steady-state dispatch touches no allocator.
+    dora::Action* action = threaded_ != nullptr ? threaded_->AcquireAction()
+                                                : executor_->AcquireAction();
     action->xct = ctx.xct;
     action->rvp = &rvp;
     action->socket = ctx.socket;
     action->shared_locks = step.read_only;
-    char prefix[16];
-    const int n =
-        std::snprintf(prefix, sizeof(prefix), "t%u:", step.table->id());
+    const TablePrefix prefix(step.table);
     for (const std::string& key : step.keys) {
-      action->AddLockKey(Slice(prefix, static_cast<size_t>(n)), Slice(key));
+      action->AddLockKey(prefix.slice(), Slice(key));
     }
     action->SortLockKeys();
     Engine* self = this;
@@ -1549,6 +1495,10 @@ sim::Task<Status> Engine::RunPhaseDora(Phase& phase, ExecContext& ctx) {
       ectx.core_held = !async;
       co_return co_await pstep->fn(ectx);
     };
+    if (threaded_) {
+      threaded_->Dispatch(action);
+      continue;
+    }
     // Dispatch cost (routing + enqueue + cross-socket hop) attributes to
     // the routing stage; queue wait starts once the action is enqueued.
     obs::TxnTimeline* tl = ctx.xct->timeline;

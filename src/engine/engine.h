@@ -186,9 +186,17 @@ class Engine {
     std::function<bool(int, Phase*)> dynamic_phases;
   };
 
-  /// Runs one transaction to commit or abort. Conventional mode executes
-  /// steps inline under 2PL; DORA/Bionic dispatch each phase's steps as
-  /// actions and join at an RVP. Records metrics.
+  /// Runs one transaction to commit or abort: ExecuteBranch, then
+  /// FinishBranch — a local transaction is a branch without a prepare.
+  /// Conventional mode executes steps inline under 2PL; DORA/Bionic
+  /// dispatch each phase's steps as actions and join at an RVP. Records
+  /// metrics. Returns the failing status when the phases fail, else the
+  /// commit's. The same lifecycle runs on the simulator and, with a
+  /// threaded backend attached, on real threads (see docs/EXECUTION.md),
+  /// where the task never suspends.
+  ///
+  /// `spec` is only read, and must outlive the returned task; retries pass
+  /// the same spec again.
   ///
   /// `priority` (optional): wait-die timestamp carried across retries. On
   /// entry *priority == 0 assigns a fresh timestamp and writes it back;
@@ -201,29 +209,36 @@ class Engine {
   /// the queue wait lands in the timeline's admit stage. Purely an
   /// accounting origin: it never changes scheduling, so the default (-1,
   /// "arrived now") leaves closed-loop runs bit-identical.
-  sim::Task<Status> Execute(TxnSpec spec, int socket = 0,
+  sim::Task<Status> Execute(const TxnSpec& spec, int socket = 0,
                             uint64_t* priority = nullptr,
                             SimTime arrival_ts = -1);
 
   // ------------------------------------------------ distributed branches --
-  /// One shard-local branch of a distributed (2PC) transaction, produced by
-  /// ExecuteBranch and finished by FinishBranch. Between the two the branch
-  /// holds its locks and (conventional mode) its worker-pool slot, exactly
-  /// like a transaction between its last action and its commit record.
+  /// One branch of a transaction, produced by ExecuteBranch and finished by
+  /// FinishBranch: a whole local transaction (Execute), or one shard-local
+  /// branch of a distributed (2PC) one. Between the two the branch holds
+  /// its locks and (conventional mode) its worker-pool slot, exactly like
+  /// a transaction between its last action and its commit record.
   struct BranchHandle {
     std::unique_ptr<txn::Xct> xct;
     obs::TxnTimeline* tl = nullptr;
     SimTime start = 0;
     int socket = 0;
     uint64_t span_id = 0;
+    /// Conventional mode on threads: the backend's global transaction
+    /// mutex, which stands in for 2PL there (docs/EXECUTION.md). Taken
+    /// where the simulator takes its worker-pool slot, dropped right after
+    /// the commit-record append or the undo. Empty otherwise.
+    std::unique_lock<std::mutex> serial;
   };
 
-  /// Runs `spec`'s phases like Execute but stops BEFORE the commit
-  /// protocol, leaving the branch active with locks held. On failure the
-  /// caller must still FinishBranch(h, false) to undo and release. The
-  /// shard::Cluster drives these; single-shard transactions take Execute.
-  sim::Task<Status> ExecuteBranch(BranchHandle* h, TxnSpec spec, int socket,
-                                  uint64_t* priority);
+  /// Begins a transaction and runs `spec`'s phases, stopping BEFORE the
+  /// commit protocol and leaving the branch active with locks held. On
+  /// failure the caller must still FinishBranch(h, false) to undo and
+  /// release. `priority` and `arrival_ts` are as for Execute.
+  sim::Task<Status> ExecuteBranch(BranchHandle* h, const TxnSpec& spec,
+                                  int socket, uint64_t* priority,
+                                  SimTime arrival_ts = -1);
   /// 2PC phase 1 on this branch: durable yes-vote for `gtid` (read-only
   /// branches vote for free). Charged to the timeline's 2pc_prepare stage.
   /// `wait_durable = false` appends the prepare without waiting: the
@@ -241,8 +256,9 @@ class Engine {
   /// only, no durability wait. Call only after every branch of the
   /// transaction finished committing (their kCommit records are durable).
   sim::Task<Status> LogCoordForget(uint64_t gtid, int socket);
-  /// 2PC phase 2: commit (commit record + durability wait) or abort (undo
-  /// + CLRs). Releases locks, records latency/metrics, frees the slot.
+  /// Commit (commit record + durability wait) or abort (undo + CLRs) — 2PC
+  /// phase 2 for a distributed branch. Releases locks, records
+  /// latency/metrics, frees the slot. Returns OK after an abort.
   sim::Task<Status> FinishBranch(BranchHandle* h, bool commit);
 
   /// Request payload flowing through the bounded admission layer.
@@ -319,10 +335,9 @@ class Engine {
     // Must agree with the executor's routing, which hashes the action's
     // qualified first lock key ("t<id>:<key>"); FNV-1a extension over the
     // two fragments equals hashing the concatenation, no string built.
-    char prefix[16];
-    const int n = std::snprintf(prefix, sizeof(prefix), "t%u:", table->id());
-    uint64_t h = common::FnvExtend(common::kFnvOffsetBasis, prefix,
-                                   static_cast<size_t>(n));
+    const TablePrefix prefix(table);
+    const Slice p = prefix.slice();
+    uint64_t h = common::FnvExtend(common::kFnvOffsetBasis, p.data(), p.size());
     h = common::FnvExtend(h, key.data(), key.size());
     return executor_->Route(h);
   }
@@ -338,24 +353,25 @@ class Engine {
 
   // ------------------------------------------------- threaded backend ----
   /// Attaches (or detaches, with nullptr) the real-thread execution
-  /// backend. While attached, every row/scan operation runs on the threaded
-  /// substrate: the same functional core under per-table reader/writer
-  /// locks, no virtual-time cost charges or device waits, logging through
-  /// the backend's ThreadedWal. Call after tables are created and loaded;
-  /// normally done by exec::ThreadedBackend::Start()/Shutdown(). See
-  /// docs/EXECUTION.md.
+  /// backend. While attached, every transaction and row/scan operation
+  /// runs on the threaded substrate: the same lifecycle and functional core
+  /// under per-table reader/writer locks, actions dispatched to the
+  /// backend's agents, no virtual-time cost charges or device waits,
+  /// logging through the backend's ThreadedWal. Call after tables are
+  /// created and loaded; normally done by exec::ThreadedBackend::Start()/
+  /// Shutdown(). See docs/EXECUTION.md.
   void AttachThreadedBackend(exec::ThreadedBackend* backend);
   bool threaded() const { return threaded_ != nullptr; }
   exec::ThreadedBackend* threaded_backend() { return threaded_; }
 
  private:
-  friend class exec::ThreadedBackend;
   // ---- substrate hooks ----------------------------------------------------
-  // Every op is one coroutine for both substrates. On the simulator the
-  // cost helpers and device waits suspend and the guards below are empty.
-  // On threads (threaded_ set) nothing suspends: the cost helpers return at
-  // once, device waits (buffer pool, disk, PCIe, scanner) are skipped, and
-  // the guards take the real locks. A guard may therefore span a co_await.
+  // Every op, and the transaction lifecycle around them, is one coroutine
+  // for both substrates. On the simulator the cost helpers and device waits
+  // suspend and the guards below are empty. On threads (threaded_ set)
+  // nothing suspends: the cost helpers return at once, device waits (buffer
+  // pool, disk, PCIe, scanner) are skipped, and the guards take the real
+  // locks. A guard may therefore span a co_await.
   // Table guards are never held across a log append or another table's
   // guard, and never taken while the disk guard is held.
   using SharedGuard = std::shared_lock<std::shared_mutex>;
@@ -403,13 +419,6 @@ class Engine {
   // Threads-only substrate (engine_threaded.cc).
   std::shared_mutex& TableMutex(const Table* table);
   static Slice ScratchCopy(Slice v);
-  /// Log append on the ThreadedWal: begin record on first write, the
-  /// record itself, and the undo entry.
-  Status ThreadedLogWrite(txn::Xct* xct, wal::RecordType type,
-                          uint32_t table_id, Slice key, Slice redo,
-                          Slice undo);
-  /// Durable kCheckpoint record on the ThreadedWal.
-  Status ThreadedCheckpointRecord();
 
   // ---- cost helpers -------------------------------------------------------
   // On threads (and for zero cost) each returns an empty task, complete as
@@ -462,15 +471,30 @@ class Engine {
   /// Rolls back one undo entry (Table::ApplyUndo under the row guards).
   void ApplyUndo(const txn::UndoEntry& entry);
 
-  /// Abort helper shared by both execution paths.
-  sim::Task<Status> AbortTxn(ExecContext& ctx, txn::Xct* xct);
-  sim::Task<Status> CommitTxn(ExecContext& ctx, txn::Xct* xct);
+  sim::Task<Status> AbortTxn(BranchHandle* h);
+  sim::Task<Status> CommitTxn(BranchHandle* h);
   sim::Task<void> ReleaseAllLocks(txn::Xct* xct);
 
-  sim::Task<Status> RunPhaseConventional(Phase& phase, ExecContext& ctx);
-  sim::Task<Status> RunPhaseDora(Phase& phase, ExecContext& ctx);
-  sim::Task<Status> RunAllPhases(TxnSpec& spec, ExecContext& ctx);
+  sim::Task<Status> RunPhaseConventional(const Phase& phase,
+                                         ExecContext& ctx);
+  sim::Task<Status> RunPhaseDora(const Phase& phase, ExecContext& ctx);
+  sim::Task<Status> RunAllPhases(const TxnSpec& spec, ExecContext& ctx);
 
+  /// The "t<id>:" prefix that qualifies a row key with its table: DORA
+  /// lock keys, 2PL lock names and partition routing all use this one
+  /// format. Built in place, no allocation.
+  class TablePrefix {
+   public:
+    explicit TablePrefix(const Table* table)
+        : n_(static_cast<size_t>(
+              std::snprintf(buf_, sizeof(buf_), "t%u:", table->id()))) {}
+    Slice slice() const { return Slice(buf_, n_); }
+
+   private:
+    char buf_[16];
+    size_t n_;
+  };
+  /// "t<id>:<key>" as a string (2PL lock names).
   static std::string QualifiedKey(const Table* table, Slice key);
 
   /// Binds every RunMetrics field, breakdown component, WAL/fault counter,

@@ -1,8 +1,9 @@
-// The threaded substrate of the engine ops: what differs when an op runs on
-// a real partition agent thread instead of in the simulator. The ops
-// themselves are written once, in engine.cc; here are only the pieces they
-// branch to when `threaded_` is set — attach, the table mutexes, the
-// scratch copy of returned views, and the appends on the ThreadedWal.
+// The threaded substrate of the engine: what differs when an op or a
+// transaction runs on real threads instead of in the simulator. The ops and
+// the transaction lifecycle are written once, in engine.cc; here are only
+// the pieces they branch to when `threaded_` is set — attach (which also
+// points the XctManager's log seam at the ThreadedWal), the table mutexes,
+// and the scratch copy of returned views.
 //
 // Locking: per-table std::shared_mutex guards the physical structures
 // (B+Tree nodes, overlay arena, pages) — point reads take it shared, any
@@ -19,12 +20,12 @@
 
 #include "engine/engine.h"
 #include "exec/threaded.h"
-#include "exec/threaded_wal.h"
 
 namespace bionicdb::engine {
 
 void Engine::AttachThreadedBackend(exec::ThreadedBackend* backend) {
   threaded_ = backend;
+  xm_->AttachThreadedWal(backend != nullptr ? &backend->wal() : nullptr);
   if (backend == nullptr) return;
   // Compact stores are single-simulator-task structures (no latching);
   // the real-thread backend keeps the paged heap.
@@ -53,49 +54,6 @@ Slice Engine::ScratchCopy(Slice v) {
   std::string& slot = scratch[next++ & 7];
   slot.assign(v.data(), v.size());
   return Slice(slot);
-}
-
-Status Engine::ThreadedLogWrite(txn::Xct* xct, wal::RecordType type,
-                                uint32_t table_id, Slice key, Slice redo,
-                                Slice undo) {
-  exec::ThreadedWal& wal = threaded_->wal();
-  // Per-transaction log state (last_lsn chain, begin record, undo chain)
-  // is shared by the transaction's concurrently running actions.
-  std::lock_guard<std::mutex> lk(xct->mu);
-  BIONICDB_CHECK(xct->state == txn::XctState::kActive);
-  if (!xct->begin_logged) {
-    xct->begin_logged = true;
-    wal::LogRecord begin;
-    begin.type = wal::RecordType::kBegin;
-    begin.txn_id = xct->id;
-    begin.prev_lsn = wal::kInvalidLsn;
-    xct->last_lsn = wal.Append(begin);
-  }
-  wal::LogRecord rec;
-  rec.type = type;
-  rec.txn_id = xct->id;
-  rec.table_id = table_id;
-  rec.prev_lsn = xct->last_lsn;
-  rec.key = key.ToString();
-  rec.redo = redo.ToString();
-  rec.undo = undo.ToString();
-  xct->last_lsn = wal.Append(rec);
-  txn::UndoEntry entry;
-  entry.type = type;
-  entry.table_id = table_id;
-  entry.key = key.ToString();
-  entry.before = undo.ToString();
-  xct->undo_chain.push_back(std::move(entry));
-  return Status::OK();
-}
-
-Status Engine::ThreadedCheckpointRecord() {
-  exec::ThreadedWal& wal = threaded_->wal();
-  wal::LogRecord rec;
-  rec.type = wal::RecordType::kCheckpoint;
-  rec.prev_lsn = wal.current_lsn();
-  const wal::Lsn lsn = wal.Append(rec);
-  return wal.WaitDurable(lsn + 1);
 }
 
 }  // namespace bionicdb::engine

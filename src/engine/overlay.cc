@@ -1,7 +1,8 @@
 #include "engine/overlay.h"
 
 #include <algorithm>
-#include <atomic>
+
+#include "common/relaxed_counter.h"
 
 namespace bionicdb::engine {
 
@@ -25,15 +26,12 @@ Result<Slice> Overlay::GetTracedView(Slice key, int* node_visits) const {
   auto r = index_.GetTracedView(key, node_visits);
   // Probes run under SHARED table ownership on the threaded backend
   // (mutations are exclusive), so hit/miss are the only overlay stats
-  // concurrent threads bump — relaxed atomic_ref, as in BTree's probe
-  // counters, keeps the layout and the simulator's plain reads.
+  // concurrent threads bump, as in BTree's probe counters.
   if (!r.ok()) {
-    std::atomic_ref<uint64_t>(stats_.misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    common::RelaxedAdd(stats_.misses);
     return Status::OutOfMemory("key not resident in overlay");
   }
-  std::atomic_ref<uint64_t>(stats_.hits).fetch_add(1,
-                                                   std::memory_order_relaxed);
+  common::RelaxedAdd(stats_.hits);
   Slice tagged = *r;
   BIONICDB_DCHECK(!tagged.empty());
   if (tagged[0] == 'D') {

@@ -3,12 +3,13 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <condition_variable>
 #include <deque>
 
 #include "common/backoff.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "common/relaxed_counter.h"
 
 namespace bionicdb::exec {
 
@@ -17,8 +18,8 @@ ThreadedBackend::ThreadedBackend(engine::Engine* engine, const Config& config)
       free_actions_(4096) {
   // Partition count MUST equal the engine's: Engine::PartitionOf (which
   // workloads use to group a step's keys) and Dispatch below route with the
-  // same hash modulo this count. A mismatch would let one key lock on two
-  // different partitions, breaking DORA's locking soundness.
+  // engine executor's Route over this count. A mismatch would let one key
+  // lock on two different partitions, breaking DORA's locking soundness.
   const int n = engine->config().num_partitions;
   BIONICDB_CHECK(n > 0 && n <= 64);  // ReleaseTxnLocks uses a 64-bit mask
   for (int i = 0; i < n; ++i) {
@@ -76,7 +77,7 @@ void ThreadedBackend::AgentLoop(uint32_t pid) {
       // Arrive before running the woken actions: the releasing driver only
       // needs its locks gone, and the woken actions belong to other
       // transactions whose drivers are still parked in their own Wait().
-      msg.latch->Arrive();
+      msg.released->Arrive(Status::OK());
       for (dora::Action* a : ready) HandleAction(part, a);
       continue;
     }
@@ -98,7 +99,7 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
   }
   if (lock == dora::LockOutcome::kDie) {
     wait_die_aborts_.fetch_add(1, std::memory_order_relaxed);
-    ThreadedRvp* rvp = action->trvp;
+    dora::Rvp* rvp = action->rvp;
     ReleaseAction(action);
     rvp->Arrive(Status::Aborted("wait-die on partition-local lock"));
     return;
@@ -111,7 +112,7 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
   // engine's threaded paths are plain functions), so it completes inline.
   Status st = sim::RunToCompletion(action->fn(ctx));
   actions_executed_.fetch_add(1, std::memory_order_relaxed);
-  ThreadedRvp* rvp = action->trvp;
+  dora::Rvp* rvp = action->rvp;
   // Release before Arrive: once the driver resumes it may destroy the
   // phase the action's body captured, so the action must already be reset.
   ReleaseAction(action);
@@ -120,136 +121,11 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
 
 void ThreadedBackend::Dispatch(dora::Action* action) {
   BIONICDB_CHECK(action->num_lock_keys() != 0);
-  // Same routing as dora::Executor::Dispatch: avalanche the first sorted
-  // lock key's hash, then modulo.
-  const uint32_t pid = static_cast<uint32_t>(
-      common::Mix64(common::HashBytes(action->lock_key(0))) %
-      static_cast<uint64_t>(partitions_.size()));
   Msg msg;
   msg.kind = Msg::Kind::kAction;
   msg.action = action;
-  queues_[pid]->Push(msg);
-}
-
-Status ThreadedBackend::RunAllPhases(engine::Engine::TxnSpec& spec,
-                                     engine::Engine::ExecContext& ctx) {
-  const bool conventional =
-      engine_->config().mode == engine::EngineMode::kConventional;
-  for (engine::Engine::Phase& phase : spec.phases) {
-    Status st = conventional ? RunPhaseInline(phase, ctx)
-                             : RunPhaseDora(phase, ctx);
-    if (!st.ok()) return st;
-  }
-  if (spec.dynamic_phases) {
-    for (int i = 0;; ++i) {
-      engine::Engine::Phase phase;
-      if (!spec.dynamic_phases(i, &phase)) break;
-      Status st = conventional ? RunPhaseInline(phase, ctx)
-                               : RunPhaseDora(phase, ctx);
-      if (!st.ok()) return st;
-    }
-  }
-  return Status::OK();
-}
-
-Status ThreadedBackend::RunPhaseDora(engine::Engine::Phase& phase,
-                                     engine::Engine::ExecContext& ctx) {
-  const bool async = engine_->config().mode == engine::EngineMode::kBionic;
-  ThreadedRvp rvp(static_cast<int>(phase.size()));
-  for (engine::Engine::TxnStep& step : phase) {
-    dora::Action* action = AcquireAction();
-    action->xct = ctx.xct;
-    action->trvp = &rvp;
-    action->socket = ctx.socket;
-    action->shared_locks = step.read_only;
-    char prefix[16];
-    const int n =
-        std::snprintf(prefix, sizeof(prefix), "t%u:", step.table->id());
-    for (const std::string& key : step.keys) {
-      action->AddLockKey(Slice(prefix, static_cast<size_t>(n)), Slice(key));
-    }
-    action->SortLockKeys();
-    engine::Engine* self = engine_;
-    // The phase outlives every action (awaited below), so the body captures
-    // a step pointer and stays within ActionFn's inline storage — same
-    // shape as Engine::RunPhaseDora.
-    const engine::Engine::TxnStep* pstep = &step;
-    const int socket = ctx.socket;
-    action->fn = [self, pstep, socket,
-                  async](dora::ActionContext& actx) -> sim::Task<Status> {
-      engine::Engine::ExecContext ectx;
-      ectx.engine = self;
-      ectx.xct = actx.xct;
-      ectx.socket = socket;
-      ectx.core_held = !async;
-      co_return co_await pstep->fn(ectx);
-    };
-    Dispatch(action);
-  }
-  return rvp.Wait();
-}
-
-Status ThreadedBackend::RunPhaseInline(engine::Engine::Phase& phase,
-                                       engine::Engine::ExecContext& ctx) {
-  // Conventional mode: the caller holds conventional_mu_, which stands in
-  // for the 2PL lock manager (one transaction owns the whole database), so
-  // steps run inline with no per-row locking.
-  for (engine::Engine::TxnStep& step : phase) {
-    Status st = sim::RunToCompletion(step.fn(ctx));
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-wal::Lsn ThreadedBackend::AppendCommit(txn::Xct* xct) {
-  BIONICDB_CHECK(xct->state == txn::XctState::kActive);
-  if (!xct->begin_logged) {
-    // Read-only: nothing to make durable.
-    xct->state = txn::XctState::kCommitted;
-    read_only_commits_.fetch_add(1, std::memory_order_relaxed);
-    return wal::kInvalidLsn;
-  }
-  xct->state = txn::XctState::kCommitting;
-  wal::LogRecord rec;
-  rec.type = wal::RecordType::kCommit;
-  rec.txn_id = xct->id;
-  rec.prev_lsn = xct->last_lsn;
-  return wal_.Append(rec);
-}
-
-Status ThreadedBackend::FinishCommit(txn::Xct* xct, wal::Lsn commit_lsn) {
-  if (commit_lsn == wal::kInvalidLsn) return Status::OK();  // read-only
-  Status st = wal_.WaitDurable(commit_lsn + 1);
-  if (!st.ok()) return st;
-  xct->state = txn::XctState::kCommitted;
-  return Status::OK();
-}
-
-void ThreadedBackend::AbortTxn(txn::Xct* xct) {
-  BIONICDB_CHECK(xct->state == txn::XctState::kActive);
-  // Undo backwards, logging a CLR per reverted action — the mirror of
-  // XctManager::Abort. The transaction still holds its partition locks on
-  // every key it wrote, so the undo writes cannot race other transactions.
-  for (auto it = xct->undo_chain.rbegin(); it != xct->undo_chain.rend();
-       ++it) {
-    engine_->ApplyUndo(*it);
-    wal::LogRecord clr;
-    clr.type = wal::RecordType::kClr;
-    clr.txn_id = xct->id;
-    clr.table_id = it->table_id;
-    clr.prev_lsn = xct->last_lsn;
-    clr.key = it->key;
-    clr.redo = it->before;  // the CLR's redo is the restored before-image
-    xct->last_lsn = wal_.Append(clr);
-  }
-  if (xct->begin_logged) {
-    wal::LogRecord rec;
-    rec.type = wal::RecordType::kAbort;
-    rec.txn_id = xct->id;
-    rec.prev_lsn = xct->last_lsn;
-    xct->last_lsn = wal_.Append(rec);
-  }
-  xct->state = txn::XctState::kAborted;
+  queues_[engine_->executor()->Route(common::HashBytes(action->lock_key(0)))]
+      ->Push(msg);
 }
 
 void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
@@ -260,18 +136,19 @@ void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   uint64_t mask = 0;
   for (const auto& [pid, key] : xct->held_locks) mask |= uint64_t{1} << pid;
   if (mask == 0) return;
-  ReleaseLatch latch(std::popcount(mask));
+  dora::Rvp released(engine_->simulator(), std::popcount(mask),
+                     /*threaded=*/true);
   for (uint32_t pid = 0; pid < partitions_.size(); ++pid) {
     if (((mask >> pid) & 1) == 0) continue;
     Msg msg;
     msg.kind = Msg::Kind::kRelease;
     msg.release_xct = xct;
-    msg.latch = &latch;
+    msg.released = &released;
     queues_[pid]->Push(msg);
   }
-  // Synchronous: the Xct lives on this caller's stack, so the release must
-  // not outlive Execute().
-  latch.Wait();
+  // Synchronous: the transaction must not finish (and free its Xct) before
+  // every partition has dropped its locks.
+  (void)sim::RunToCompletion(released.Wait());
 }
 
 dora::Action* ThreadedBackend::AcquireAction() {
@@ -288,72 +165,10 @@ void ThreadedBackend::ReleaseAction(dora::Action* action) {
   free_actions_.TryPush(action);
 }
 
-Status ThreadedBackend::Execute(engine::Engine::TxnSpec spec,
+Status ThreadedBackend::Execute(const engine::Engine::TxnSpec& spec,
                                 uint64_t* priority) {
   BIONICDB_CHECK(started_);
-  started_txns_.fetch_add(1, std::memory_order_relaxed);
-  // The Xct lives on this driver's stack: ReleaseTxnLocks is synchronous
-  // and all actions arrive before Execute returns, so nothing outlives it.
-  txn::Xct xct;
-  xct.id = next_txn_.fetch_add(1, std::memory_order_relaxed);
-  xct.priority = xct.id;
-  if (priority != nullptr) {
-    if (*priority == 0) {
-      *priority = xct.priority;
-    } else {
-      xct.priority = *priority;
-    }
-  }
-  engine::Engine::ExecContext ctx;
-  ctx.engine = engine_;
-  ctx.xct = &xct;
-  ctx.socket = 0;
-  ctx.core_held = false;
-
-  if (engine_->config().mode == engine::EngineMode::kConventional) {
-    std::unique_lock<std::mutex> lk(conventional_mu_);
-    Status st = RunAllPhases(spec, ctx);
-    if (st.ok()) {
-      const wal::Lsn lsn = AppendCommit(&xct);
-      // Early lock release: the commit record is ordered in the log, so
-      // the global mutex can drop before the durability wait — that's what
-      // lets concurrent committers share one group-commit fsync.
-      lk.unlock();
-      st = FinishCommit(&xct, lsn);
-      if (st.ok()) {
-        commits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        durability_failures_.fetch_add(1, std::memory_order_relaxed);
-        aborts_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      if (st.IsIOError()) io_errors_.fetch_add(1, std::memory_order_relaxed);
-      AbortTxn(&xct);
-      lk.unlock();
-      aborts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return st;
-  }
-
-  Status st = RunAllPhases(spec, ctx);
-  if (st.ok()) {
-    const wal::Lsn lsn = AppendCommit(&xct);
-    st = FinishCommit(&xct, lsn);
-    if (st.ok()) {
-      commits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      durability_failures_.fetch_add(1, std::memory_order_relaxed);
-      aborts_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    if (st.IsIOError()) io_errors_.fetch_add(1, std::memory_order_relaxed);
-    AbortTxn(&xct);
-    aborts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Locks release after durability, mirroring Engine::CommitTxn's ordering
-  // (strict two-phase locking across the commit point).
-  ReleaseTxnLocks(&xct);
-  return st;
+  return sim::RunToCompletion(engine_->Execute(spec, /*socket=*/0, priority));
 }
 
 Status ThreadedBackend::ExecuteWithRetries(const engine::Engine::TxnSpec& spec,
@@ -574,15 +389,17 @@ ThreadedBackend::OpenLoopReport ThreadedBackend::RunOpenLoop(
 }
 
 ThreadedStats ThreadedBackend::stats() const {
+  using common::RelaxedLoad;
+  const engine::RunMetrics& m = engine_->metrics();
+  const txn::XctManagerStats& x = engine_->xct_manager().stats();
   ThreadedStats s;
-  s.started = started_txns_.load(std::memory_order_relaxed);
-  s.commits = commits_.load(std::memory_order_relaxed);
-  s.read_only_commits = read_only_commits_.load(std::memory_order_relaxed);
-  s.aborts = aborts_.load(std::memory_order_relaxed);
+  s.started = RelaxedLoad(x.started);
+  s.commits = RelaxedLoad(m.commits);
+  s.read_only_commits = RelaxedLoad(x.read_only_commits);
+  s.aborts = RelaxedLoad(m.aborts);
   s.wait_die_aborts = wait_die_aborts_.load(std::memory_order_relaxed);
-  s.io_errors = io_errors_.load(std::memory_order_relaxed);
-  s.durability_failures =
-      durability_failures_.load(std::memory_order_relaxed);
+  s.io_errors = RelaxedLoad(m.io_errors);
+  s.durability_failures = RelaxedLoad(m.durability_failures);
   s.actions_executed = actions_executed_.load(std::memory_order_relaxed);
   s.actions_parked = actions_parked_.load(std::memory_order_relaxed);
   return s;

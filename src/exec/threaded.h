@@ -5,7 +5,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -27,38 +26,10 @@
 
 namespace bionicdb::exec {
 
-/// Real-thread rendezvous point: joins a phase's actions across partition
-/// agent threads. Mirrors dora::Rvp (first non-OK status wins) with a
-/// mutex/condvar instead of a simulated Completion. The mutex also carries
-/// the happens-before edge from each agent's writes (locks recorded on the
-/// Xct, undo entries, table mutations) to the driver thread that proceeds
-/// past Wait().
-class ThreadedRvp {
- public:
-  explicit ThreadedRvp(int count) : remaining_(count) {}
-  BIONICDB_DISALLOW_COPY_AND_ASSIGN(ThreadedRvp);
-
-  void Arrive(Status st) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!st.ok() && agg_.ok()) agg_ = st;
-    if (--remaining_ == 0) cv_.notify_one();
-  }
-
-  Status Wait() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return remaining_ == 0; });
-    return agg_;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int remaining_;
-  Status agg_;
-};
-
-/// Wall-clock run counters (the threaded analogue of engine::RunMetrics;
-/// the engine's own metrics/registry stay virtual-time-only).
+/// Wall-clock run counters. The transaction counts are the engine's own
+/// (engine::RunMetrics and txn::XctManagerStats, which the shared lifecycle
+/// bumps on both substrates) since the engine was built; the action counts
+/// are the agents'.
 struct ThreadedStats {
   uint64_t started = 0;
   uint64_t commits = 0;
@@ -76,12 +47,16 @@ struct ThreadedStats {
 /// and one MPSC mailbox per engine partition; Start() spawns the agent
 /// threads and the WAL flusher.
 ///
-/// Functional behavior matches the simulator backend exactly — same
-/// routing (Mix64 of the sorted first lock key), same wait-die policy via
-/// the shared dora::Partition code, same log-then-apply write protocol,
-/// same undo/CLR abort path — which is what the differential oracle test
-/// (tests/exec_backend_test.cc) pins down. Timing behavior is the host's:
-/// no cost model, no virtual clock.
+/// The backend is a substrate, not a second engine: Execute runs the
+/// engine's own transaction lifecycle (Engine::Execute — phases, RVPs,
+/// commit and abort through the XctManager) on the calling thread, and the
+/// engine branches to this class only to dispatch actions to the agents,
+/// release their locks, and log through the ThreadedWal. Functional
+/// behavior therefore matches the simulator backend exactly — same
+/// routing (dora::Executor::Route), same wait-die policy via the shared
+/// dora::Partition code, same log records byte for byte — which is what
+/// the differential oracle test (tests/exec_backend_test.cc) pins down.
+/// Timing behavior is the host's: no cost model, no virtual clock.
 class ThreadedBackend {
  public:
   struct Config {
@@ -122,11 +97,13 @@ class ThreadedBackend {
   /// every thread, flushes and stops the WAL, and detaches from the engine.
   void Shutdown();
 
-  /// Runs one transaction to commit or abort on the calling thread,
-  /// dispatching phase actions to the partition agents. Thread-safe: any
-  /// number of client threads may call concurrently. `priority` carries
-  /// the wait-die timestamp across retries, as in Engine::Execute.
-  Status Execute(engine::Engine::TxnSpec spec, uint64_t* priority = nullptr);
+  /// Runs one transaction to commit or abort on the calling thread
+  /// (Engine::Execute, run to completion), dispatching phase actions to the
+  /// partition agents. Thread-safe: any number of client threads may call
+  /// concurrently. `priority` carries the wait-die timestamp across
+  /// retries, as in Engine::Execute.
+  Status Execute(const engine::Engine::TxnSpec& spec,
+                 uint64_t* priority = nullptr);
 
   /// Closed-loop driver: `clients` real threads, warmup wave (not counted),
   /// then a measured wave. `next` is called under an internal mutex to draw
@@ -175,14 +152,18 @@ class ThreadedBackend {
   dora::Action* AcquireAction();
   /// Resets the action and returns it to the freelist.
   void ReleaseAction(dora::Action* action);
-  /// Routes by the action's first (sorted) lock key — the same
-  /// Mix64-of-hash modulo as dora::Executor — and enqueues it on the
-  /// owning partition's mailbox. The action must carry a trvp.
+  /// Routes by the action's first (sorted) lock key with the engine
+  /// executor's Route and enqueues it on the owning partition's mailbox.
+  /// The action's rvp must be a threaded dora::Rvp.
   void Dispatch(dora::Action* action);
   /// Sends release messages to every partition holding locks for `xct` and
-  /// blocks until all have processed them (the Xct may live on the caller's
-  /// stack, so release must not outlive Execute).
+  /// blocks until all have processed them (the transaction must not finish
+  /// before its locks are gone). No-op in conventional mode.
   void ReleaseTxnLocks(txn::Xct* xct);
+  /// Conventional mode: one global transaction mutex stands in for the 2PL
+  /// lock manager, whose waits are simulated (see docs/EXECUTION.md). The
+  /// engine's lifecycle takes and drops it.
+  std::mutex& conventional_mutex() { return conventional_mu_; }
 
   engine::Engine* engine() { return engine_; }
   ThreadedWal& wal() { return wal_; }
@@ -198,32 +179,17 @@ class ThreadedBackend {
   dora::Partition* partition(uint32_t id) { return partitions_[id].get(); }
 
  private:
-  struct ReleaseLatch {
-    explicit ReleaseLatch(int count) : remaining(count) {}
-    void Arrive() {
-      std::lock_guard<std::mutex> lk(mu);
-      if (--remaining == 0) cv.notify_one();
-    }
-    void Wait() {
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return remaining == 0; });
-    }
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining;
-  };
-
   /// Partition mailbox message. Exactly one meaning:
   ///  kAction  — run/lock this action;
   ///  kRelease — release `release_xct`'s locks on this partition, wake
-  ///             parked actions, then arrive at `latch`;
+  ///             parked actions, then arrive at `released`;
   ///  kStop    — agent poison pill.
   struct Msg {
     enum class Kind : uint8_t { kStop = 0, kAction, kRelease };
     Kind kind = Kind::kStop;
     dora::Action* action = nullptr;
     txn::Xct* release_xct = nullptr;
-    ReleaseLatch* latch = nullptr;
+    dora::Rvp* released = nullptr;
   };
 
   void AgentLoop(uint32_t pid);
@@ -237,21 +203,6 @@ class ThreadedBackend {
   Status ExecuteWithRetries(const engine::Engine::TxnSpec& spec,
                             int max_retries, uint64_t backoff_ns, Rng* rng,
                             uint64_t* aborted_attempts);
-
-  Status RunAllPhases(engine::Engine::TxnSpec& spec,
-                      engine::Engine::ExecContext& ctx);
-  Status RunPhaseDora(engine::Engine::Phase& phase,
-                      engine::Engine::ExecContext& ctx);
-  Status RunPhaseInline(engine::Engine::Phase& phase,
-                        engine::Engine::ExecContext& ctx);
-
-  /// Commit protocol, mirroring XctManager::AppendCommitRecord: returns
-  /// kInvalidLsn (and commits immediately) for read-only transactions.
-  wal::Lsn AppendCommit(txn::Xct* xct);
-  /// WaitCommitDurable mirror: blocks on the flusher for write txns.
-  Status FinishCommit(txn::Xct* xct, wal::Lsn commit_lsn);
-  /// Abort mirror: reverse undo + CLR per entry + abort record.
-  void AbortTxn(txn::Xct* xct);
 
   engine::Engine* engine_;
   Config config_;
@@ -268,21 +219,13 @@ class ThreadedBackend {
   mutable std::mutex pool_mu_;
   std::vector<std::unique_ptr<dora::Action>> all_actions_;
 
-  std::atomic<uint64_t> next_txn_{1};
-  /// Conventional mode: one global transaction mutex stands in for the
-  /// 2PL lock manager (strict serial execution; see docs/EXECUTION.md).
+  /// See conventional_mutex().
   std::mutex conventional_mu_;
   /// Draws from the workload generator in RunClosedLoop.
   std::mutex next_mu_;
 
-  // Stats as atomics (snapshotted by stats()).
-  std::atomic<uint64_t> started_txns_{0};
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> read_only_commits_{0};
-  std::atomic<uint64_t> aborts_{0};
+  // Agent-side stats as atomics (snapshotted by stats()).
   std::atomic<uint64_t> wait_die_aborts_{0};
-  std::atomic<uint64_t> io_errors_{0};
-  std::atomic<uint64_t> durability_failures_{0};
   std::atomic<uint64_t> actions_executed_{0};
   std::atomic<uint64_t> actions_parked_{0};
 };

@@ -1,8 +1,9 @@
 #include "index/btree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
+
+#include "common/relaxed_counter.h"
 
 namespace bionicdb::index {
 
@@ -364,13 +365,8 @@ Result<Slice> BTree::GetTracedView(Slice key, int* node_visits) const {
   // The probe path is the one BTree entry point that runs under SHARED
   // table ownership on the threaded backend (mutations are exclusive), so
   // these two counters are the only stats that concurrent threads bump.
-  // Relaxed atomic_ref keeps the struct layout (and the single-threaded
-  // simulator's plain reads) while making the increments race-free.
-  std::atomic_ref<uint64_t>(stats_.probes).fetch_add(
-      1, std::memory_order_relaxed);
-  std::atomic_ref<uint64_t>(stats_.node_visits)
-      .fetch_add(static_cast<uint64_t>(*node_visits),
-                 std::memory_order_relaxed);
+  common::RelaxedAdd(stats_.probes);
+  common::RelaxedAdd(stats_.node_visits, static_cast<uint64_t>(*node_visits));
   const size_t pos = LowerBound(*leaf, key);
   if (pos < leaf->NumKeys() && leaf->KeyAt(pos) == key) {
     return leaf->ValueAt(pos);

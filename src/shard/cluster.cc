@@ -43,18 +43,19 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
       tpc_(RawShards(shards_), config.fanout_2pc),
       snapshot_reads_(config.snapshot_reads) {}
 
-sim::Task<Status> Cluster::Execute(ShardedTxn txn, int socket,
+sim::Task<Status> Cluster::Execute(const ShardedTxn& txn, int socket,
                                    uint64_t* priority) {
   BIONICDB_CHECK(!txn.fragments.empty());
   if (txn.fragments.size() == 1) {
-    ShardFragment& frag = txn.fragments[0];
+    const ShardFragment& frag = txn.fragments[0];
     co_return co_await shards_[static_cast<size_t>(frag.shard)]->Execute(
-        std::move(frag.spec), socket, priority);
+        frag.spec, socket, priority);
   }
+  // The distributed paths order the fragments in their own copy.
   if (snapshot_reads_ && TwoPhaseCommit::IsReadOnlyTxn(txn)) {
-    co_return co_await tpc_.RunSnapshotRead(std::move(txn), socket, priority);
+    co_return co_await tpc_.RunSnapshotRead(txn, socket, priority);
   }
-  co_return co_await tpc_.Run(std::move(txn), socket, priority);
+  co_return co_await tpc_.Run(txn, socket, priority);
 }
 
 void Cluster::Start() {

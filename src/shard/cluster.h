@@ -55,7 +55,9 @@ class Cluster {
   /// Engine::Execute (the passivity-critical fast path); fully read-only
   /// multi-fragment -> prepare-free snapshot read (when enabled);
   /// otherwise 2PC.
-  sim::Task<Status> Execute(ShardedTxn txn, int socket = 0,
+  /// `txn` is only read and must outlive the returned task, as for
+  /// Engine::Execute.
+  sim::Task<Status> Execute(const ShardedTxn& txn, int socket = 0,
                             uint64_t* priority = nullptr);
 
   // Lifecycle fan-out (same contract as the single-engine calls).

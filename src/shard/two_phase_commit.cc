@@ -24,15 +24,15 @@ struct BranchOutcome {
 /// this branch's durable kPrepare resolves to abort (no decision record
 /// will ever exist) and FinishBranch(false) undoes it in place.
 /// Plain namespace-scope coroutine (not a capturing lambda): every
-/// pointer argument lives in Run's frame, which outlives the join.
+/// pointer and reference argument lives in Run's frame, which outlives the
+/// join.
 sim::Task<void> RunBranchTask(engine::Engine* eng,
                               engine::Engine::BranchHandle* h,
-                              engine::Engine::TxnSpec spec, int socket,
+                              const engine::Engine::TxnSpec& spec, int socket,
                               uint64_t* priority, uint64_t gtid, bool prepare,
                               BranchOutcome* out, int* remaining,
                               sim::Completion* done) {
-  out->exec = co_await eng->ExecuteBranch(h, std::move(spec), socket,
-                                          priority);
+  out->exec = co_await eng->ExecuteBranch(h, spec, socket, priority);
   if (prepare && out->exec.ok()) {
     out->vote = co_await eng->PrepareBranch(h, gtid);
   }
@@ -156,14 +156,14 @@ sim::Task<Status> TwoPhaseCommit::RunFanout(ShardedTxn txn, int socket,
   for (size_t i = 1; i < n; ++i) {
     ShardFragment& frag = txn.fragments[i];
     sim->Spawn(RunBranchTask(shards_[static_cast<size_t>(frag.shard)],
-                             &branches[i], std::move(frag.spec), socket, prio,
+                             &branches[i], frag.spec, socket, prio,
                              gtid, /*prepare=*/true, &outcomes[i],
                              &exec_remaining, &exec_done));
   }
   {
     engine::Engine* ceng = shards_[static_cast<size_t>(coord)];
     outcomes[0].exec = co_await ceng->ExecuteBranch(
-        &branches[0], std::move(txn.fragments[0].spec), socket, prio);
+        &branches[0], txn.fragments[0].spec, socket, prio);
     if (outcomes[0].exec.ok()) {
       outcomes[0].vote = co_await ceng->PrepareBranch(&branches[0], gtid,
                                                       /*wait_durable=*/false);
@@ -274,7 +274,7 @@ sim::Task<Status> TwoPhaseCommit::RunSequential(ShardedTxn txn, int socket,
   for (size_t i = 0; i < n; ++i) {
     ShardFragment& frag = txn.fragments[i];
     st = co_await shards_[static_cast<size_t>(frag.shard)]->ExecuteBranch(
-        &branches[i], std::move(frag.spec), socket, prio);
+        &branches[i], frag.spec, socket, prio);
     done_ts[i] = sim->Now();
     ++ran;
     if (!st.ok()) break;
@@ -367,13 +367,13 @@ sim::Task<Status> TwoPhaseCommit::RunSnapshotRead(ShardedTxn txn, int socket,
   for (size_t i = 1; i < n; ++i) {
     ShardFragment& frag = txn.fragments[i];
     sim->Spawn(RunBranchTask(shards_[static_cast<size_t>(frag.shard)],
-                             &branches[i], std::move(frag.spec), socket, prio,
+                             &branches[i], frag.spec, socket, prio,
                              /*gtid=*/0, /*prepare=*/false, &outcomes[i],
                              &exec_remaining, &exec_done));
   }
   outcomes[0].exec = co_await shards_[static_cast<size_t>(coord)]
                          ->ExecuteBranch(&branches[0],
-                                         std::move(txn.fragments[0].spec),
+                                         txn.fragments[0].spec,
                                          socket, prio);
   outcomes[0].done_ts = sim->Now();
   co_await exec_done.Wait();

@@ -1,8 +1,21 @@
 #include "txn/xct_manager.h"
 
+#include "exec/threaded_wal.h"
 #include "wal/recovery.h"
 
 namespace bionicdb::txn {
+
+using common::RelaxedAdd;
+
+namespace {
+
+/// An already-complete task carrying `v` (a threaded-WAL call's result).
+template <typename T>
+sim::Task<T> Ready(T v) {
+  co_return v;
+}
+
+}  // namespace
 
 const char* XctStateName(XctState s) {
   switch (s) {
@@ -18,11 +31,23 @@ const char* XctStateName(XctState s) {
   return "?";
 }
 
+// Not coroutines: on the simulator each returns the LogManager's own task,
+// so the seam adds no frame there.
+sim::Task<wal::Lsn> XctManager::Append(wal::LogRecord&& rec, int socket) {
+  if (twal_ != nullptr) return Ready(twal_->Append(rec));
+  return log_->Append(std::move(rec), socket);
+}
+
+sim::Task<Status> XctManager::WaitDurable(wal::Lsn lsn) {
+  if (twal_ != nullptr) return Ready(twal_->WaitDurable(lsn));
+  return log_->WaitDurable(lsn);
+}
+
 std::unique_ptr<Xct> XctManager::Begin() {
   auto xct = std::make_unique<Xct>();
-  xct->id = next_txn_++;
+  xct->id = NextTxnId();
   xct->priority = EncodePriority(xct->id);
-  ++stats_.started;
+  RelaxedAdd(stats_.started);
   return xct;
 }
 
@@ -33,7 +58,7 @@ sim::Task<Status> XctManager::EnsureBeginLogged(Xct* xct, int socket) {
   rec.type = wal::RecordType::kBegin;
   rec.txn_id = xct->id;
   rec.prev_lsn = wal::kInvalidLsn;
-  xct->last_lsn = co_await log_->Append(std::move(rec), socket);
+  xct->last_lsn = co_await Append(std::move(rec), socket);
   co_return Status::OK();
 }
 
@@ -52,7 +77,7 @@ sim::Task<Status> XctManager::LogWrite(Xct* xct, wal::RecordType type,
   rec.key = key;
   rec.redo = redo;
   rec.undo = undo;
-  xct->last_lsn = co_await log_->Append(std::move(rec), socket);
+  xct->last_lsn = co_await Append(std::move(rec), socket);
   UndoEntry entry;
   entry.type = type;
   entry.table_id = table_id;
@@ -72,8 +97,8 @@ sim::Task<wal::Lsn> XctManager::AppendCommitRecord(Xct* xct, int socket) {
   if (!xct->begin_logged) {
     // Read-only: nothing to make durable.
     xct->state = XctState::kCommitted;
-    ++stats_.committed;
-    ++stats_.read_only_commits;
+    RelaxedAdd(stats_.committed);
+    RelaxedAdd(stats_.read_only_commits);
     co_return wal::kInvalidLsn;
   }
   xct->state = XctState::kCommitting;
@@ -81,16 +106,16 @@ sim::Task<wal::Lsn> XctManager::AppendCommitRecord(Xct* xct, int socket) {
   rec.type = wal::RecordType::kCommit;
   rec.txn_id = xct->id;
   rec.prev_lsn = xct->last_lsn;
-  co_return co_await log_->Append(std::move(rec), socket);
+  co_return co_await Append(std::move(rec), socket);
 }
 
 sim::Task<Status> XctManager::WaitCommitDurable(Xct* xct,
                                                 wal::Lsn commit_lsn) {
   if (commit_lsn == wal::kInvalidLsn) co_return Status::OK();  // read-only
-  Status st = co_await log_->WaitDurable(commit_lsn + 1);
+  Status st = co_await WaitDurable(commit_lsn + 1);
   if (!st.ok()) co_return st;
   xct->state = XctState::kCommitted;
-  ++stats_.committed;
+  RelaxedAdd(stats_.committed);
   co_return Status::OK();
 }
 
@@ -109,14 +134,14 @@ sim::Task<wal::Lsn> XctManager::AppendPrepareRecord(Xct* xct, uint64_t gtid,
   rec.txn_id = xct->id;
   rec.prev_lsn = xct->last_lsn;
   rec.key = wal::EncodeGtid(gtid);
-  xct->last_lsn = co_await log_->Append(std::move(rec), socket);
+  xct->last_lsn = co_await Append(std::move(rec), socket);
   ++stats_.prepared;
   co_return xct->last_lsn;
 }
 
 sim::Task<Status> XctManager::WaitPrepareDurable(wal::Lsn prepare_lsn) {
   if (prepare_lsn == wal::kInvalidLsn) co_return Status::OK();
-  co_return co_await log_->WaitDurable(prepare_lsn + 1);
+  co_return co_await WaitDurable(prepare_lsn + 1);
 }
 
 sim::Task<Status> XctManager::LogCommitDecision(uint64_t gtid, int socket) {
@@ -124,8 +149,8 @@ sim::Task<Status> XctManager::LogCommitDecision(uint64_t gtid, int socket) {
   rec.type = wal::RecordType::kCoordCommit;
   rec.txn_id = gtid;
   rec.prev_lsn = wal::kInvalidLsn;
-  const wal::Lsn lsn = co_await log_->Append(std::move(rec), socket);
-  Status st = co_await log_->WaitDurable(lsn + 1);
+  const wal::Lsn lsn = co_await Append(std::move(rec), socket);
+  Status st = co_await WaitDurable(lsn + 1);
   if (st.ok()) ++stats_.decisions_logged;
   co_return st;
 }
@@ -135,11 +160,20 @@ sim::Task<Status> XctManager::LogForgetDecision(uint64_t gtid, int socket) {
   rec.type = wal::RecordType::kCoordForget;
   rec.txn_id = gtid;
   rec.prev_lsn = wal::kInvalidLsn;
-  co_await log_->Append(std::move(rec), socket);
+  co_await Append(std::move(rec), socket);
   // No WaitDurable: the marker is advisory. If it never becomes durable the
   // kCoordCommit it retires simply stays live across the next recovery.
   ++stats_.decisions_retired;
   co_return Status::OK();
+}
+
+sim::Task<Status> XctManager::LogCheckpoint(int socket) {
+  wal::LogRecord rec;
+  rec.type = wal::RecordType::kCheckpoint;
+  rec.prev_lsn =
+      twal_ != nullptr ? twal_->current_lsn() : log_->current_lsn();
+  const wal::Lsn lsn = co_await Append(std::move(rec), socket);
+  co_return co_await WaitDurable(lsn + 1);
 }
 
 sim::Task<Status> XctManager::Abort(Xct* xct, const UndoApplier& applier,
@@ -156,17 +190,17 @@ sim::Task<Status> XctManager::Abort(Xct* xct, const UndoApplier& applier,
     clr.prev_lsn = xct->last_lsn;
     clr.key = it->key;
     clr.redo = it->before;  // the CLR's redo is the restored before-image
-    xct->last_lsn = co_await log_->Append(std::move(clr), socket);
+    xct->last_lsn = co_await Append(std::move(clr), socket);
   }
   if (xct->begin_logged) {
     wal::LogRecord rec;
     rec.type = wal::RecordType::kAbort;
     rec.txn_id = xct->id;
     rec.prev_lsn = xct->last_lsn;
-    xct->last_lsn = co_await log_->Append(std::move(rec), socket);
+    xct->last_lsn = co_await Append(std::move(rec), socket);
   }
   xct->state = XctState::kAborted;
-  ++stats_.aborted;
+  RelaxedAdd(stats_.aborted);
   co_return Status::OK();
 }
 

@@ -1,6 +1,8 @@
 // XctManager: transaction lifecycle — id allocation, WAL integration
 // (lazy Begin, write logging with undo capture, group-committed Commit,
-// CLR-producing Abort).
+// CLR-producing Abort). The same code runs on both execution substrates:
+// its one log seam appends to the simulated wal::LogManager, or to the
+// threaded backend's exec::ThreadedWal once one is attached.
 #pragma once
 
 #include <cstdint>
@@ -8,10 +10,15 @@
 #include <memory>
 
 #include "common/macros.h"
+#include "common/relaxed_counter.h"
 #include "common/status.h"
 #include "sim/task.h"
 #include "txn/xct.h"
 #include "wal/log_manager.h"
+
+namespace bionicdb::exec {
+class ThreadedWal;
+}
 
 namespace bionicdb::txn {
 
@@ -29,6 +36,11 @@ class XctManager {
  public:
   explicit XctManager(wal::LogManager* log) : log_(log) {}
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(XctManager);
+
+  /// Routes the log seam to `wal` (the threaded backend's), or back to the
+  /// simulated LogManager with nullptr. On threads the awaited tasks below
+  /// never suspend: appends and durability waits block the calling thread.
+  void AttachThreadedWal(exec::ThreadedWal* wal) { twal_ = wal; }
 
   /// Starts a transaction. No log record yet (written lazily on first
   /// write — read-only transactions never touch the log).
@@ -84,13 +96,16 @@ class XctManager {
   /// decision survives one recovery longer than necessary.
   sim::Task<Status> LogForgetDecision(uint64_t gtid, int socket);
 
+  /// Appends a kCheckpoint record and waits for it to become durable.
+  sim::Task<Status> LogCheckpoint(int socket);
+
   /// Draws a fresh wait-die priority WITHOUT starting a transaction. The
   /// distributed layer pins one priority across all branches of a
   /// cluster-wide transaction and must fix it before branches race to
   /// Begin() on their home shards. Consumes a transaction id, so the
   /// priority is unique within this manager's domain slice (see
   /// SetPriorityDomain).
-  uint64_t DrawPriority() { return EncodePriority(next_txn_++); }
+  uint64_t DrawPriority() { return EncodePriority(NextTxnId()); }
 
   /// Makes this manager's priorities globally unique across a cluster:
   /// every priority it hands out (Begin() and DrawPriority()) becomes
@@ -108,16 +123,25 @@ class XctManager {
     prio_offset_ = offset;
   }
 
+  /// started/committed/aborted/read_only_commits are bumped with
+  /// common::RelaxedAdd, since on threads every client thread runs the
+  /// lifecycle; read them with common::RelaxedLoad while clients run.
   const XctManagerStats& stats() const { return stats_; }
   wal::LogManager* log() { return log_; }
 
  private:
+  // The log seam: the only calls that reach a log.
+  sim::Task<wal::Lsn> Append(wal::LogRecord&& rec, int socket);
+  sim::Task<Status> WaitDurable(wal::Lsn lsn);
+
   sim::Task<Status> EnsureBeginLogged(Xct* xct, int socket);
+  TxnId NextTxnId() { return common::RelaxedAdd(next_txn_); }
   uint64_t EncodePriority(TxnId id) const {
     return id * prio_stride_ + prio_offset_;
   }
 
   wal::LogManager* log_;
+  exec::ThreadedWal* twal_ = nullptr;  ///< See AttachThreadedWal.
   TxnId next_txn_ = 1;
   uint64_t prio_stride_ = 1;  ///< See SetPriorityDomain.
   uint64_t prio_offset_ = 0;

@@ -85,8 +85,7 @@ sim::Task<void> Client(Target* target, NextFn next, uint64_t my_txns,
     const Status st = co_await ExecuteWithRetries(
         target->simulator(), *config,
         [&](uint64_t* priority) {
-          auto copy = txn;
-          return target->Execute(std::move(copy), socket, priority);
+          return target->Execute(txn, socket, priority);
         },
         [counters] {
           if (counters != nullptr) ++counters->retries;
@@ -194,8 +193,7 @@ sim::Task<void> OpenLoopServer(engine::Engine* engine,
       const Status st = co_await ExecuteWithRetries(
           sim, config->service,
           [&](uint64_t* priority) {
-            engine::Engine::TxnSpec copy = entry.item.spec;
-            return engine->Execute(std::move(copy), socket, priority,
+            return engine->Execute(entry.item.spec, socket, priority,
                                    entry.enqueue_ts);
           },
           [&] {

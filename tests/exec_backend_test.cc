@@ -472,6 +472,10 @@ TEST_P(BackendModeTest, OpSequenceMatchesSimulator) {
   }
   sim::RunToCompletion(OpSequenceMaintenance(&thr_engine, thr_t, &thr_log));
   backend.Shutdown();
+  // Both substrates run one transaction lifecycle through one log seam, so
+  // the logs (commits, undo CLRs and aborts, the checkpoint) agree byte for
+  // byte.
+  EXPECT_EQ(sim_engine.log()->buffer(), backend.wal().DurablePrefix());
 
   // Sanity: the sequence did commit, abort, and reach the maintenance ops.
   ASSERT_EQ(sim_log.entries.size(), 20u);

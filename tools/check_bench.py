@@ -20,6 +20,10 @@ gates come in two backend dimensions, selected with --backend:
               * The compact-store point reads (compact_get_8,
                 compact_get_16) allocate nothing: allocs_per_op == 0
                 exactly, a count that no host changes.
+              * tatp_e2e_dora allocates at most
+                TATP_E2E_MAX_ALLOCS_PER_OP per simulated transaction (a
+                count, not a time), so a per-attempt TxnSpec copy cannot
+                creep back unnoticed.
 
   threaded  Wall-clock gates on the real-thread backend rows
             (tatp_threaded_t{1,2,4,8}, tpcc_threaded_t8). Absolute
@@ -58,6 +62,9 @@ import sys
 SIM_TXN_PER_SEC_PIN = 2192905.5
 TATP_THREAD_SWEEP = [1, 2, 4, 8]
 COMPACT_GET_ROWS = ["compact_get_8", "compact_get_16"]
+# 29.1 measured once the lifecycle stopped copying the TxnSpec per attempt
+# (37.6 before), rounded up.
+TATP_E2E_MAX_ALLOCS_PER_OP = 30
 
 
 def fail(msg):
@@ -142,6 +149,17 @@ def check_sim(wallclock, evq, baseline):
                 "per-probe std::string)"
             )
     print(f"ok: {', '.join(COMPACT_GET_ROWS)} allocate nothing")
+
+    # 2c. The end-to-end simulated transaction's allocation budget.
+    allocs = e2e["allocs_per_op"]
+    if allocs > TATP_E2E_MAX_ALLOCS_PER_OP:
+        fail(
+            f"tatp_e2e_dora: {allocs} allocs/op, above the "
+            f"{TATP_E2E_MAX_ALLOCS_PER_OP} budget — the transaction path "
+            "started allocating more (a per-attempt spec copy?)"
+        )
+    print(f"ok: tatp_e2e_dora {allocs} allocs/op "
+          f"(<= {TATP_E2E_MAX_ALLOCS_PER_OP})")
 
 
 def check_threaded(wallclock):
